@@ -430,6 +430,19 @@ def _sigma_and_fill(mol: Molecule, idx: int) -> tuple[int, int]:
     return sigma, fill
 
 
+def _default_implicit_h(atom: Atom, fill: int) -> int | None:
+    """Implicit H count of an organic-subset atom with H-fill count `fill`.
+
+    Aromatic atoms take the smallest table valence, others the smallest one
+    that fits; None when no table valence fits a non-aromatic atom.
+    """
+    valences = STANDARD_VALENCES[atom.element]
+    if atom.aromatic:
+        return max(0, min(valences) - fill)
+    chosen = next((v for v in valences if v >= fill), None)
+    return None if chosen is None else chosen - fill
+
+
 def _assign_implicit_hydrogens(mol: Molecule, text: str) -> None:
     for atom in mol.atoms:
         valences = STANDARD_VALENCES.get(atom.element)
@@ -447,17 +460,14 @@ def _assign_implicit_hydrogens(mol: Molecule, text: str) -> None:
             raise ValenceOverflow(
                 f"{atom.element} with bond order sum {sigma} exceeds valence "
                 f"{max(valences)}", _atom_offset(atom, mol), text)
-        if atom.aromatic:
-            atom.implicit_h = max(0, min(valences) - fill)
-        else:
+        implicit_h = _default_implicit_h(atom, fill)
+        if implicit_h is None:
             # fill can exceed sigma only via explicit aromatic bonds on an
             # uppercase atom; surface that as an overflow, never a crash
-            chosen = next((v for v in valences if v >= fill), None)
-            if chosen is None:
-                raise ValenceOverflow(
-                    f"{atom.element} with effective bond order {fill} exceeds "
-                    f"valence {max(valences)}", _atom_offset(atom, mol), text)
-            atom.implicit_h = chosen - fill
+            raise ValenceOverflow(
+                f"{atom.element} with effective bond order {fill} exceeds "
+                f"valence {max(valences)}", _atom_offset(atom, mol), text)
+        atom.implicit_h = implicit_h
 
 
 def _atom_offset(atom: Atom, mol: Molecule) -> int:
@@ -587,13 +597,8 @@ def _induced_subgraph(mol: Molecule, keep: list[int]) -> Molecule:
             if atom.from_bracket or atom.element == "*":
                 atom.implicit_h = 0
                 continue
-            valences = STANDARD_VALENCES[atom.element]
             _, fill = _sigma_and_fill(sub, atom.index)
-            if atom.aromatic:
-                atom.implicit_h = max(0, min(valences) - fill)
-            else:
-                chosen = next((v for v in valences if v >= fill), max(valences))
-                atom.implicit_h = max(0, chosen - fill)
+            atom.implicit_h = _default_implicit_h(atom, fill) or 0
         sub.rings()
     return sub
 
@@ -641,16 +646,8 @@ def _atom_token(mol: Molecule, idx: int) -> str:
         return "*"
     bare_ok = (atom.element in ORGANIC_SUBSET and atom.formal_charge == 0
                and (not atom.aromatic or atom.element in AROMATIC_OK))
-    if bare_ok:
-        valences = STANDARD_VALENCES[atom.element]
-        _, fill = _sigma_and_fill(mol, idx)
-        if atom.aromatic:
-            would_get = max(0, min(valences) - fill)
-        else:
-            chosen = next((v for v in valences if v >= fill), None)
-            would_get = None if chosen is None else chosen - fill
-        if would_get == atom.total_h:
-            return symbol
+    if bare_ok and _default_implicit_h(atom, _sigma_and_fill(mol, idx)[1]) == atom.total_h:
+        return symbol
     h = atom.total_h
     hpart = "" if h == 0 else ("H" if h == 1 else f"H{h}")
     q = atom.formal_charge

@@ -16,8 +16,15 @@ import numpy as np
 
 from . import __version__
 from .attribution import METHODS, aggregate_attributions, attribute_dataset, model_inputs
+from .chem import parse_smiles, tokenize_smiles
 from .config import load_config, resolve_config
-from .encode import save_matrix, save_matrix_tsv
+from .encode import (
+    DESCRIPTOR_LENGTH,
+    encode_records,
+    feature_columns,
+    save_matrix,
+    save_matrix_tsv,
+)
 from .errors import DegenerateTask, FgrError
 from .nn import load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -25,10 +32,8 @@ from .pipeline import (
     TRAIN,
     VALID,
     check_fingerprints,
-    encode_dataset,
     evaluate_state,
-    load_dataset,
-    load_vocabularies,
+    load_encoded,
     make_split,
     train_encoded,
 )
@@ -91,50 +96,27 @@ def cmd_mine_vocab(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from .chem import parse_smiles, tokenize_smiles
-    from .encode import compute_descriptors, encode_combined, encode_fg, encode_mfg, l2_normalize
-
     fg = load_fg_vocab(args.fg, skip_invalid=args.skip_invalid) if args.fg else None
     mfg = load_mfg_vocab(args.mfg) if args.mfg else None
-    if fg is None and mfg is None:
-        raise FgrError("encode needs --fg and/or --mfg")
-    smiles_list = _read_smiles_column(args.data)
-    rows, labels, kinds, skipped = [], [], [], 0
-    fingerprints = {}
-    if fg is not None:
-        labels += fg.names
-        kinds += ["FG"] * fg.size
-        fingerprints["fg"] = fg.fingerprint
-    if mfg is not None:
-        labels += [e.text for e in mfg.entries]
-        kinds += ["MFG"] * mfg.size
-        fingerprints["mfg"] = mfg.fingerprint
-    desc_names: list[str] = []
-    for smiles in smiles_list:
-        try:
-            mol = parse_smiles(smiles)
-            tokens = tokenize_smiles(smiles)
-        except FgrError:
-            skipped += 1
-            continue
-        if fg is not None and mfg is not None:
-            bits = encode_combined(mol, tokens, fg, mfg).bits
-        elif fg is not None:
-            bits = encode_fg(mol, fg).bits
-        else:
-            bits = encode_mfg(tokens, mfg).bits
-        row = bits.astype(np.float64)
-        if args.descriptors:
-            desc = compute_descriptors(mol)
-            desc_names = desc.names
-            row = np.concatenate([row, l2_normalize(desc.values)])
-        rows.append(row)
-    if not rows:
+    length = DESCRIPTOR_LENGTH if args.descriptors else 0
+    labels, _, fingerprints = feature_columns(fg, mfg, length)
+    skipped = 0
+
+    def parsed():
+        nonlocal skipped
+        for smiles in _read_smiles_column(args.data):
+            try:
+                yield parse_smiles(smiles), tokenize_smiles(smiles)
+            except FgrError:
+                skipped += 1
+
+    X, D = encode_records(parsed(), fg, mfg, length)
+    if not len(X):
         raise FgrError("no encodable molecules in input")
-    X = np.asarray(rows)
-    all_labels = labels + desc_names
+    if D is not None:
+        X = np.hstack([X, D])
     if args.tsv:
-        save_matrix_tsv(X, args.out, all_labels)
+        save_matrix_tsv(X, args.out, labels)
     else:
         save_matrix(X, args.out, fingerprints)
     _emit({"event": "encoded", "rows": X.shape[0], "cols": X.shape[1],
@@ -148,17 +130,12 @@ def cmd_train(args) -> int:
         cfg["training"]["seed"] = args.seed
     if args.out:
         cfg["training"]["checkpoint_out"] = args.out
+    cfg, ds, enc = load_encoded(cfg)
+    _emit({"event": "dataset", **ds.report}, args.log, sys.stderr)
     runs = int(cfg["training"]["runs"])
     base_seed = int(cfg["training"]["seed"])
     ckpt_path = cfg["training"]["checkpoint_out"]
     metrics_path = cfg["training"]["metrics_out"]
-
-    ds = load_dataset(cfg["data"]["path"], cfg["data"]["task"])
-    _emit({"event": "dataset", **ds.report}, args.log, sys.stderr)
-    fg, mfg = load_vocabularies(cfg)
-    enc = encode_dataset(ds, fg, mfg, cfg["model"]["use_descriptors"],
-                         cfg["model"]["descriptor_length"])
-
     all_metrics = []
     for run in range(runs):
         seed = base_seed + run
@@ -208,10 +185,7 @@ def _load_ckpt_with_data(ckpt_path, data_path):
     cfg = resolve_config(header.get("config_echo") or {})
     if data_path:
         cfg["data"]["path"] = data_path
-    ds = load_dataset(cfg["data"]["path"], cfg["data"]["task"])
-    fg, mfg = load_vocabularies(cfg)
-    enc = encode_dataset(ds, fg, mfg, cfg["model"]["use_descriptors"],
-                         cfg["model"]["descriptor_length"])
+    cfg, ds, enc = load_encoded(cfg)
     check_fingerprints(state, enc)
     seed = int(header.get("seed", cfg["training"]["seed"]))
     split = make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
@@ -302,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fgrkit {__version__}")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; stages here run sequentially for "
-                             "deterministic output")
     parser.add_argument("--log", choices=["text", "json-lines"], default="text",
                         help="log record format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -94,12 +94,22 @@ def validate_for_training(cfg: dict) -> None:
         raise ConfigError("data.task must be classification or regression")
     if cfg["data"]["split"] not in ("scaffold", "random"):
         raise ConfigError("data.split must be scaffold or random")
-    ratios = cfg["data"]["ratios"]
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("data.ratios must be three positive numbers summing to 1")
+    check_ratios(cfg["data"]["ratios"])
     if cfg["vocab"]["representation"] not in ("fg", "mfg", "fgr"):
         raise ConfigError("vocab.representation must be fg, mfg or fgr")
     if cfg["vocab"]["representation"] in ("mfg", "fgr") and not cfg["vocab"]["mfg"]:
         raise ConfigError("vocab.mfg path is required for the chosen representation")
     if cfg["optimizer"]["kind"] not in ("sam", "sgd"):
         raise ConfigError("optimizer.kind must be sam or sgd")
+
+
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """Train/valid/test split ratios as floats; ConfigError unless they are
+    three positive numbers summing to 1."""
+    try:
+        ratios = tuple(float(r) for r in ratios)
+    except (TypeError, ValueError):
+        ratios = ()
+    if len(ratios) != 3 or not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError("data.ratios must be three positive numbers summing to 1")
+    return ratios

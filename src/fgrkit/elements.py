@@ -33,8 +33,6 @@ ATOMIC_NUMBERS: dict[str, int] = {
     "W": 74, "Pt": 78, "Au": 79, "Hg": 80, "Tl": 81, "Pb": 82, "Bi": 83,
 }
 
-SYMBOL_BY_NUMBER: dict[int, str] = {z: sym for sym, z in ATOMIC_NUMBERS.items()}
-
 # Monoisotopic masses of the most abundant isotope.
 MONOISOTOPIC_MASS: dict[str, float] = {
     "H": 1.00782503, "B": 11.00930536, "C": 12.0, "N": 14.003074,
@@ -53,7 +51,3 @@ def atomic_number(symbol: str) -> int:
     """Atomic number for a symbol; 0 for the wildcard or unknown elements."""
     return ATOMIC_NUMBERS.get(symbol, 0)
 
-
-def monoisotopic_mass(symbol: str) -> float:
-    """Monoisotopic mass; unknown elements contribute 0 (documented)."""
-    return MONOISOTOPIC_MASS.get(symbol, 0.0)

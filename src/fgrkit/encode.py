@@ -11,13 +11,14 @@ descriptor sets.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chem import SINGLE, Molecule
 from .elements import HALOGENS, MONOISOTOPIC_MASS, atomic_number
-from .errors import NonFiniteInput, ShapeMismatch
+from .errors import ConfigError, NonFiniteInput, ShapeMismatch
 from .smarts import match_exists
 from .vocab import FGVocabulary, MFGVocabulary
 
@@ -182,19 +183,81 @@ def compute_descriptors(mol: Molecule, length: int = DESCRIPTOR_LENGTH) -> Descr
     values[12] = _longest_aliphatic_chain(mol)
     values[13] = len(mol.components())
 
-    names = DESCRIPTOR_NAMES + [f"pad_{i}" for i in range(len(DESCRIPTOR_NAMES), length)]
-    return DescriptorVector(values=values, names=names)
+    return DescriptorVector(values=values, names=_descriptor_names(length))
+
+
+def _descriptor_names(length: int) -> list[str]:
+    return DESCRIPTOR_NAMES + [f"pad_{i}" for i in range(len(DESCRIPTOR_NAMES), length)]
+
+
+# Below this norm the squared norm is subnormal and has lost precision.
+_SMALLEST_EXACT_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||2 over the feature dimension; zero vectors pass through."""
+    """v / ||v||2 over the feature dimension; vectors whose norm computes
+    as 0 (including those whose squares all underflow) pass through."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("non-finite entries in vector")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return v.copy()
+    if norm < _SMALLEST_EXACT_NORM:
+        v = v / float(np.max(np.abs(v)))
+        norm = float(np.linalg.norm(v))
     return v / norm
+
+
+# ---------------------------------------------------------------------------
+# feature matrices
+# ---------------------------------------------------------------------------
+
+def feature_columns(fg: FGVocabulary | None, mfg: MFGVocabulary | None,
+                    descriptor_length: int = 0) -> tuple[list[str], list[str], dict[str, str]]:
+    """(labels, kinds, fingerprints) of the columns encode_records writes:
+    FG bits, MFG bits, then descriptor_length descriptor columns."""
+    if fg is None and mfg is None:
+        raise ConfigError("encoding needs an FG and/or an MFG vocabulary")
+    labels: list[str] = []
+    kinds: list[str] = []
+    fingerprints: dict[str, str] = {}
+    if fg is not None:
+        labels += fg.names
+        kinds += ["FG"] * fg.size
+        fingerprints["fg"] = fg.fingerprint
+    if mfg is not None:
+        labels += [e.text for e in mfg.entries]
+        kinds += ["MFG"] * mfg.size
+        fingerprints["mfg"] = mfg.fingerprint
+    if descriptor_length:
+        labels += _descriptor_names(descriptor_length)
+        kinds += ["DESC"] * descriptor_length
+    return labels, kinds, fingerprints
+
+
+def encode_records(records: Iterable[tuple[Molecule, list[str]]],
+                   fg: FGVocabulary | None, mfg: MFGVocabulary | None,
+                   descriptor_length: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """(X, D) for parsed (mol, tokens) records, consumed one at a time.
+
+    X is the float64 [FG | MFG] multi-hot matrix; D holds the L2-normalized
+    descriptors, or is None when descriptor_length is 0.
+    """
+    bit_rows, desc_rows = [], []
+    for mol, tokens in records:
+        bits = []
+        if fg is not None:
+            bits.append(encode_fg(mol, fg).bits)
+        if mfg is not None:
+            bits.append(encode_mfg(tokens, mfg).bits)
+        bit_rows.append(np.concatenate(bits))
+        if descriptor_length:
+            desc = compute_descriptors(mol, length=descriptor_length)
+            desc_rows.append(l2_normalize(desc.values))
+    X = np.asarray(bit_rows, dtype=np.float64)
+    D = np.asarray(desc_rows, dtype=np.float64) if descriptor_length else None
+    return X, D
 
 
 # ---------------------------------------------------------------------------

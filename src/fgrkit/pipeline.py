@@ -16,16 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import Molecule, murcko_scaffold, parse_smiles, scaffold_key, tokenize_smiles
-from .config import resolve_config, validate_for_training
+from .config import check_ratios, resolve_config, validate_for_training
 from .datasets import starter_fg_vocab_path
-from .encode import (
-    compute_descriptors,
-    encode_combined,
-    encode_fg,
-    encode_mfg,
-    l2_normalize,
-)
+from .encode import encode_records, feature_columns
 from .errors import (
+    ConfigError,
     DatasetError,
     DegenerateTask,
     FgrError,
@@ -167,15 +162,6 @@ class SplitAssignment:
         return [int(i) for i in np.nonzero(self.assignment == sid)[0]]
 
 
-def _check_ratios(ratios) -> tuple[float, float, float]:
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
-    return ratios
-
-
 def scaffold_groups(ds: Dataset) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(ds.records):
@@ -191,7 +177,7 @@ def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitA
     The seed is part of the interface but the assignment is deterministic
     (greedy); it is recorded for provenance only.
     """
-    ratios = _check_ratios(ratios)
+    ratios = check_ratios(ratios)
     n = len(ds)
     caps = [int(np.floor(ratios[0] * n)), int(np.floor(ratios[1] * n))]
     caps.append(n - caps[0] - caps[1])
@@ -215,7 +201,7 @@ def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitA
 
 def random_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
     """Seeded shuffle then contiguous slicing (floor sizes, remainder to train)."""
-    ratios = _check_ratios(ratios)
+    ratios = check_ratios(ratios)
     n = len(ds)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -235,7 +221,7 @@ def make_split(ds: Dataset, method: str, ratios, seed: int) -> SplitAssignment:
         return scaffold_split(ds, ratios, seed)
     if method == "random":
         return random_split(ds, ratios, seed)
-    raise ValueError(f"unknown split method {method!r}")
+    raise ConfigError(f"unknown split method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +239,23 @@ class EncodedDataset:
     fingerprints: dict[str, str]
 
 
-def load_vocabularies(cfg: dict) -> tuple[FGVocabulary | None, MFGVocabulary | None]:
+def encode_dataset(ds: Dataset, fg: FGVocabulary | None, mfg: MFGVocabulary | None,
+                   use_descriptors: bool, descriptor_length: int) -> EncodedDataset:
+    """Multi-hot (and descriptor) cache computed once per record."""
+    length = descriptor_length if use_descriptors else 0
+    labels, kinds, fingerprints = feature_columns(fg, mfg, length)
+    X, D = encode_records(((rec.mol, rec.tokens) for rec in ds.records), fg, mfg, length)
+    Y, M = ds.target_arrays()
+    return EncodedDataset(X=X, D=D, Y=Y, M=M, feature_labels=labels,
+                          feature_kinds=kinds, fingerprints=fingerprints)
+
+
+def load_encoded(config: dict) -> tuple[dict, Dataset, EncodedDataset]:
+    """(resolved config, dataset, encoding): validates the config, then loads
+    the dataset and its vocabularies and encodes every row."""
+    cfg = resolve_config(config)
+    validate_for_training(cfg)
+    ds = load_dataset(cfg["data"]["path"], cfg["data"]["task"])
     rep = cfg["vocab"]["representation"]
     fg = mfg = None
     if rep in ("fg", "fgr"):
@@ -261,48 +263,9 @@ def load_vocabularies(cfg: dict) -> tuple[FGVocabulary | None, MFGVocabulary | N
         fg = load_fg_vocab(path, skip_invalid=cfg["vocab"]["skip_invalid"])
     if rep in ("mfg", "fgr"):
         mfg = load_mfg_vocab(cfg["vocab"]["mfg"])
-    return fg, mfg
-
-
-def encode_dataset(ds: Dataset, fg: FGVocabulary | None, mfg: MFGVocabulary | None,
-                   use_descriptors: bool, descriptor_length: int) -> EncodedDataset:
-    """Multi-hot (and descriptor) cache computed once per record."""
-    rows = []
-    for rec in ds.records:
-        if fg is not None and mfg is not None:
-            rows.append(encode_combined(rec.mol, rec.tokens, fg, mfg).bits)
-        elif fg is not None:
-            rows.append(encode_fg(rec.mol, fg).bits)
-        elif mfg is not None:
-            rows.append(encode_mfg(rec.tokens, mfg).bits)
-        else:
-            raise ValueError("need at least one vocabulary")
-    X = np.asarray(rows, dtype=np.float64)
-    labels: list[str] = []
-    kinds: list[str] = []
-    fingerprints: dict[str, str] = {}
-    if fg is not None:
-        labels += fg.names
-        kinds += ["FG"] * fg.size
-        fingerprints["fg"] = fg.fingerprint
-    if mfg is not None:
-        labels += [e.text for e in mfg.entries]
-        kinds += ["MFG"] * mfg.size
-        fingerprints["mfg"] = mfg.fingerprint
-    D = None
-    if use_descriptors:
-        desc_rows = []
-        names = None
-        for rec in ds.records:
-            desc = compute_descriptors(rec.mol, length=descriptor_length)
-            desc_rows.append(l2_normalize(desc.values))
-            names = desc.names
-        D = np.asarray(desc_rows, dtype=np.float64)
-        labels += names
-        kinds += ["DESC"] * descriptor_length
-    Y, M = ds.target_arrays()
-    return EncodedDataset(X=X, D=D, Y=Y, M=M, feature_labels=labels,
-                          feature_kinds=kinds, fingerprints=fingerprints)
+    enc = encode_dataset(ds, fg, mfg, cfg["model"]["use_descriptors"],
+                         cfg["model"]["descriptor_length"])
+    return cfg, ds, enc
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +377,7 @@ def _dump_divergence(state: ModelState, batch: Batch, batch_idx: np.ndarray,
 
 def train(config: dict) -> TrainResult:
     """End-to-end training per the resolved config; see config.DEFAULT_CONFIG."""
-    cfg = resolve_config(config)
-    validate_for_training(cfg)
-    ds = load_dataset(cfg["data"]["path"], cfg["data"]["task"])
-    fg, mfg = load_vocabularies(cfg)
-    enc = encode_dataset(ds, fg, mfg, cfg["model"]["use_descriptors"],
-                         cfg["model"]["descriptor_length"])
+    cfg, ds, enc = load_encoded(config)
     seed = int(cfg["training"]["seed"])
     split = make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
     return train_encoded(cfg, ds, enc, split, seed)
@@ -547,12 +505,7 @@ class CrossValidationResult:
 def crossvalidate(config: dict, folds: int) -> CrossValidationResult:
     """Scaffold-grouped K-fold: fold i tests, fold (i+1) % K validates,
     the rest trains; reports mean±std of the test metrics."""
-    cfg = resolve_config(config)
-    validate_for_training(cfg)
-    ds = load_dataset(cfg["data"]["path"], cfg["data"]["task"])
-    fg, mfg = load_vocabularies(cfg)
-    enc = encode_dataset(ds, fg, mfg, cfg["model"]["use_descriptors"],
-                         cfg["model"]["descriptor_length"])
+    cfg, ds, enc = load_encoded(config)
     fold_sets = scaffold_fold_assignment(ds, folds)
     seed = int(cfg["training"]["seed"])
     split = make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)

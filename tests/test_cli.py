@@ -58,6 +58,19 @@ class TestEncode:
                        "--mfg", workdir / "toy.mfg", "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_plain_lines_skip_unparseable(self, workdir, capsys):
+        from fgrkit.datasets import starter_fg_vocab_path
+        from fgrkit.encode import load_matrix
+        data = workdir / "lines.smi"
+        data.write_text("CCO\nc1ccccc1\nC1CC\nCC(=O)O\n")
+        out = workdir / "lines.bin"
+        assert run("--log", "json-lines", "encode", "--data", data,
+                   "--fg", starter_fg_vocab_path(), "--out", out) == 0
+        event = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (event["rows"], event["skipped"]) == (3, 1)
+        X, _ = load_matrix(out)
+        assert X.shape == (3, event["cols"])
+
     def test_tsv_mode(self, workdir):
         out = workdir / "enc.tsv"
         assert run("encode", "--data", workdir / "toy.csv",
@@ -150,6 +163,27 @@ class TestErrors:
         bad.write_text(json.dumps({"data": {"path": "x"}, "nonsense": {}}))
         assert run("train", "--config", bad) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [
+        {"data": {"path": None}},
+        {"vocab": {"representation": "mfg", "mfg": None}},
+        {"data": {"ratios": [0.5, 0.5]}},
+        {"data": {"ratios": [0.8, 0.1, 0.2]}},
+        {"data": {"split": "foo"}},
+        {"optimizer": {"kind": "adam"}},
+    ], ids=["no-data-path", "mfg-without-vocab", "two-ratios", "ratio-sum",
+            "unknown-split", "unknown-optimizer"])
+    def test_bad_config_rejected(self, workdir, capsys, patch):
+        cfg = {"data": {"path": str(workdir / "toy.csv")},
+               "vocab": {"representation": "fgr", "mfg": str(workdir / "toy.mfg")},
+               "optimizer": {}, "training": {"epochs": 1}}
+        for section, values in patch.items():
+            cfg[section].update(values)
+        bad = workdir / "bad_config.json"
+        bad.write_text(json.dumps(cfg))
+        assert run("train", "--config", bad) == 1
+        err = capsys.readouterr().err
+        assert "fgrkit: error:" in err and "Traceback" not in err
 
     def test_missing_file(self, workdir):
         assert run("evaluate", "--ckpt", workdir / "missing.ckpt") == 1

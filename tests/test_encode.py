@@ -203,6 +203,17 @@ class TestL2Normalize:
         else:
             assert abs(norm - 1.0) < 1e-12
 
+    def test_subnormal_squared_norm_rescaled(self):
+        v = np.array([2.2e-157, 0.0, 1e-160])
+        out = l2_normalize(v)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        assert np.allclose(out, v / 2.2e-157 / np.linalg.norm(v / 2.2e-157))
+
+    def test_underflowed_norm_passes_through(self):
+        # the norm of [1e-170] computes as 0, so it counts as a zero vector
+        v = np.array([1e-170])
+        assert np.array_equal(l2_normalize(v), v)
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             l2_normalize(np.array([1.0, np.nan]))

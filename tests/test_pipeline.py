@@ -10,6 +10,7 @@ from fgrkit.datasets import (
     write_dataset_csv,
 )
 from fgrkit.errors import (
+    ConfigError,
     DegenerateTask,
     MissingSmilesColumn,
     NoUsableRows,
@@ -24,6 +25,7 @@ from fgrkit.pipeline import (
     crossvalidate,
     evaluate_state,
     load_dataset,
+    make_split,
     random_split,
     scaffold_fold_assignment,
     scaffold_split,
@@ -159,6 +161,21 @@ class TestSplits:
         assert len(split.indices(VALID)) == int(np.floor(0.1 * n))
         assert len(split.indices(TEST)) == int(np.floor(0.1 * n))
         assert len(split.indices(TRAIN)) == n - 2 * int(np.floor(0.1 * n))
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.8, 0.1, 0.2), (1.2, -0.1, -0.1),
+                                        (float("nan"),) * 3, "abc", None])
+    def test_bad_ratios_are_config_errors(self, toy_csv, ratios):
+        ds = load_dataset(toy_csv, "classification")
+        for split_fn in (scaffold_split, random_split):
+            with pytest.raises(ConfigError, match="data.ratios"):
+                split_fn(ds, ratios, seed=0)
+        with pytest.raises(ConfigError, match="data.ratios"):
+            train(toy_config(toy_csv) | {"data": {"path": toy_csv, "ratios": ratios}})
+
+    def test_unknown_split_method(self, toy_csv):
+        ds = load_dataset(toy_csv, "classification")
+        with pytest.raises(ConfigError):
+            make_split(ds, "foo", (0.8, 0.1, 0.1), seed=0)
 
 
 class TestMetrics:
