@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .attribution import METHODS, aggregate_attributions, attribute_dataset, model_inputs
 from .chem import parse_smiles, tokenize_smiles
-from .config import load_config, resolve_config
+from .config import load_config, resolve_config, validate_for_training
 from .encode import (
     DESCRIPTOR_LENGTH,
     encode_records,
@@ -180,21 +180,30 @@ def _indexed_path(path: str, run: int) -> str:
     return f"{path}.run{run}"
 
 
-def _load_ckpt_with_data(ckpt_path, data_path):
+def _load_ckpt_with_data(ckpt_path, data_path, loaded=None):
+    """(state, header, cfg, ds, enc); an earlier ``loaded`` (cfg, ds, enc) is
+    reused when its data, vocab and model sections equal the checkpoint's."""
     state, header = load_checkpoint(ckpt_path)
     cfg = resolve_config(header.get("config_echo") or {})
     if data_path:
         cfg["data"]["path"] = data_path
-    cfg, ds, enc = load_encoded(cfg)
+    validate_for_training(cfg)
+    if loaded is None or any(loaded[0][s] != cfg[s] for s in ("data", "vocab", "model")):
+        loaded = load_encoded(cfg)
+    _, ds, enc = loaded
     check_fingerprints(state, enc)
+    return state, header, cfg, ds, enc
+
+
+def _ckpt_split(header, cfg, ds):
+    """The checkpoint's split, recomputed from the data at its training seed."""
     seed = int(header.get("seed", cfg["training"]["seed"]))
-    split = make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
-    return state, header, cfg, ds, enc, split
+    return make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
 
 
 def cmd_evaluate(args) -> int:
-    state, header, cfg, ds, enc, split = _load_ckpt_with_data(args.ckpt, args.data)
-    indices = split.indices(args.split)
+    state, header, cfg, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
+    indices = _ckpt_split(header, cfg, ds).indices(args.split)
     report = evaluate_state(state, enc, indices, ds.task_names, args.split,
                             seed=int(header.get("seed", 0)))
     payload = {
@@ -214,10 +223,11 @@ def cmd_attribute(args) -> int:
     if args.method not in METHODS:
         raise FgrError(f"--method must be one of {', '.join(METHODS)}")
     reports = []
-    cfg = None
+    loaded = None
     for ckpt_path in args.ckpt:
-        state, header, cfg, ds, enc, split = _load_ckpt_with_data(ckpt_path, args.data)
-        indices = split.indices(args.split)
+        state, header, cfg, ds, enc = _load_ckpt_with_data(ckpt_path, args.data, loaded)
+        loaded = cfg, ds, enc
+        indices = _ckpt_split(header, cfg, ds).indices(args.split)
         if not indices:
             raise FgrError(f"split {args.split!r} is empty")
         U = model_inputs(state, enc.X[indices],
@@ -254,7 +264,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    state, header, cfg, ds, enc, split = _load_ckpt_with_data(args.ckpt, args.data)
+    state, header, cfg, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
     if args.report == "alignment":
         payload = alignment_report(state, ds, enc, top_s=args.top_scaffolds)
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 
 from .errors import ConfigError
 
@@ -87,6 +88,31 @@ def load_config(path) -> dict:
     return resolve_config(raw)
 
 
+# Integer fields and their least valid values.
+_INTEGER_MINIMA = {
+    "model.latent": 1,
+    "model.descriptor_length": 14,    # the implemented descriptor slots
+    "training.epochs": 1,
+    "training.batch_size": 1,
+    "training.seed": 0,
+    "training.runs": 1,
+    "interpret.ig_steps": 2,
+    "interpret.shap_samples": 1,
+    "interpret.top_k": 1,
+}
+
+
+def _number(cfg: dict, where: str, integer: bool):
+    """The value at `section.key`; ConfigError unless it is a finite number,
+    and an integer if `integer` (bool is neither)."""
+    section, key = where.split(".")
+    value = cfg[section][key]
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a finite number'}")
+    return value
+
+
 def validate_for_training(cfg: dict) -> None:
     if not cfg["data"]["path"]:
         raise ConfigError("data.path is required for training")
@@ -101,6 +127,18 @@ def validate_for_training(cfg: dict) -> None:
         raise ConfigError("vocab.mfg path is required for the chosen representation")
     if cfg["optimizer"]["kind"] not in ("sam", "sgd"):
         raise ConfigError("optimizer.kind must be sam or sgd")
+    for where, low in _INTEGER_MINIMA.items():
+        if _number(cfg, where, integer=True) < low:
+            raise ConfigError(f"{where} must be an integer >= {low}")
+    for where in ("model.alpha_t", "model.gamma", "model.alpha", "model.beta"):
+        _number(cfg, where, integer=False)
+    if not _number(cfg, "optimizer.lr", integer=False) > 0:
+        raise ConfigError("optimizer.lr must be > 0")
+    if not 0 <= _number(cfg, "optimizer.momentum", integer=False) < 1:
+        raise ConfigError("optimizer.momentum must be in [0, 1)")
+    for where in ("optimizer.rho", "interpret.shap_noise"):
+        if _number(cfg, where, integer=False) < 0:
+            raise ConfigError(f"{where} must be >= 0")
 
 
 def check_ratios(ratios) -> tuple[float, float, float]:

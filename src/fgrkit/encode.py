@@ -196,14 +196,16 @@ _SMALLEST_EXACT_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """v / ||v||2 over the feature dimension; vectors whose norm computes
-    as 0 (including those whose squares all underflow) pass through."""
+    as 0 (including those whose squares all underflow) pass through. When
+    the squared norm is subnormal or overflows, v is first scaled by max|v|."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("non-finite entries in vector")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return v.copy()
-    if norm < _SMALLEST_EXACT_NORM:
+    if not _SMALLEST_EXACT_NORM <= norm < np.inf:
         v = v / float(np.max(np.abs(v)))
         norm = float(np.linalg.norm(v))
     return v / norm

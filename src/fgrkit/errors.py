@@ -104,10 +104,6 @@ class NonFiniteGradient(FgrError):
     pass
 
 
-class ZeroGradientNorm(FgrError):
-    pass
-
-
 # --- pipeline -------------------------------------------------------------------
 
 class DatasetError(FgrError):
@@ -141,10 +137,6 @@ class CheckpointError(FgrError):
 # --- representation analysis -----------------------------------------------------
 
 class CoincidentCentroids(FgrError):
-    pass
-
-
-class DegenerateVariance(FgrError):
     pass
 
 

@@ -32,7 +32,6 @@ from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
     VocabMismatch,
-    ZeroGradientNorm,
 )
 
 EPS = 1e-7
@@ -358,7 +357,6 @@ def sam_step(state: ModelState, batch: Batch, lr: float, rho: float,
         return sgd_step(state, grads, lr, momentum, velocities)
     norm = gradient_global_norm(grads)
     if norm == 0.0:
-        # ZeroGradientNorm situation: documented fallback to the plain step
         return sgd_step(state, grads, lr, momentum, velocities)
     scale = rho / norm
     perturbed = state.with_params(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .nn import (
     init_model,
     predict_head,
     sam_step,
-    sgd_step,
     total_loss,
 )
 from .vocab import FGVocabulary, MFGVocabulary, load_fg_vocab, load_mfg_vocab
@@ -70,6 +70,15 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def scaffold_groups(self) -> list[tuple[str, list[int]]]:
+        """(scaffold key, record indices) pairs, largest group first, ties
+        broken by key; computed once per dataset."""
+        groups: dict[str, list[int]] = {}
+        for i, rec in enumerate(self.records):
+            groups.setdefault(scaffold_key(murcko_scaffold(rec.mol)), []).append(i)
+        return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
     def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(Y, M): targets with zeros at gaps, and the presence mask."""
@@ -153,38 +162,26 @@ def load_dataset(path, task_kind: str) -> Dataset:
 @dataclass
 class SplitAssignment:
     assignment: np.ndarray  # record index -> {0 train, 1 valid, 2 test}
-    method: str
-    seed: int
-    ratios: tuple[float, float, float]
 
     def indices(self, split: str) -> list[int]:
         sid = _SPLIT_ID[split]
         return [int(i) for i in np.nonzero(self.assignment == sid)[0]]
 
 
-def scaffold_groups(ds: Dataset) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, rec in enumerate(ds.records):
-        key = scaffold_key(murcko_scaffold(rec.mol))
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
     """Whole scaffold groups go to the first split still under capacity,
     in train -> valid -> test order; groups are taken largest first.
 
-    The seed is part of the interface but the assignment is deterministic
-    (greedy); it is recorded for provenance only.
+    The assignment is deterministic (greedy): the seed, taken so that both
+    split functions share make_split's signature, is not used.
     """
     ratios = check_ratios(ratios)
     n = len(ds)
     caps = [int(np.floor(ratios[0] * n)), int(np.floor(ratios[1] * n))]
     caps.append(n - caps[0] - caps[1])
-    groups = sorted(scaffold_groups(ds).items(), key=lambda kv: (-len(kv[1]), kv[0]))
     assignment = np.full(n, 2, dtype=np.int8)
     sizes = [0, 0, 0]
-    for _, members in groups:
+    for _, members in ds.scaffold_groups:
         for sid in range(3):
             if sizes[sid] < caps[sid]:
                 break
@@ -195,8 +192,7 @@ def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitA
     if sizes[1] == 0 or sizes[2] == 0:
         warnings.warn("scaffold split left an empty valid or test set "
                       f"(sizes {sizes}); scaffolds are too concentrated")
-    return SplitAssignment(assignment=assignment, method="scaffold", seed=seed,
-                           ratios=ratios)
+    return SplitAssignment(assignment)
 
 
 def random_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
@@ -212,8 +208,7 @@ def random_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAss
     assignment[order[:n_train]] = 0
     assignment[order[n_train:n_train + n_valid]] = 1
     assignment[order[n_train + n_valid:]] = 2
-    return SplitAssignment(assignment=assignment, method="random", seed=seed,
-                           ratios=ratios)
+    return SplitAssignment(assignment)
 
 
 def make_split(ds: Dataset, method: str, ratios, seed: int) -> SplitAssignment:
@@ -384,9 +379,7 @@ def train(config: dict) -> TrainResult:
 
 
 def train_encoded(cfg: dict, ds: Dataset, enc: EncodedDataset,
-                  split: SplitAssignment, seed: int,
-                  train_indices: list[int] | None = None,
-                  valid_indices: list[int] | None = None) -> TrainResult:
+                  split: SplitAssignment, seed: int) -> TrainResult:
     """Training loop over a pre-encoded dataset (shared by train and CV)."""
     hyper = ModelHyper(
         l=int(cfg["model"]["latent"]),
@@ -400,10 +393,8 @@ def train_encoded(cfg: dict, ds: Dataset, enc: EncodedDataset,
         descriptor_dim=(int(cfg["model"]["descriptor_length"])
                         if cfg["model"]["use_descriptors"] else 0),
     )
-    train_idx = np.array(train_indices if train_indices is not None
-                         else split.indices(TRAIN), dtype=int)
-    valid_idx = list(valid_indices if valid_indices is not None
-                     else split.indices(VALID))
+    train_idx = np.array(split.indices(TRAIN), dtype=int)
+    valid_idx = split.indices(VALID)
     if len(train_idx) == 0:
         raise DatasetError("empty training split")
 
@@ -414,6 +405,8 @@ def train_encoded(cfg: dict, ds: Dataset, enc: EncodedDataset,
     velocities: dict[str, np.ndarray] = {}
 
     opt = cfg["optimizer"]
+    # SGD is SAM without the perturbation: sam_step with rho = 0 is sgd_step
+    rho = float(opt["rho"]) if opt["kind"] == "sam" else 0.0
     epochs = int(cfg["training"]["epochs"])
     batch_size = int(cfg["training"]["batch_size"])
     task_names = ds.task_names
@@ -434,17 +427,9 @@ def train_encoded(cfg: dict, ds: Dataset, enc: EncodedDataset,
         for batch_idx in _batches(order, batch_size):
             batch = subset_batch(batch_idx)
             try:
-                if opt["kind"] == "sam":
-                    state = sam_step(state, batch, lr=float(opt["lr"]),
-                                     rho=float(opt["rho"]),
-                                     momentum=float(opt["momentum"]),
-                                     velocities=velocities)
-                else:
-                    from .nn import compute_gradients
-                    grads = compute_gradients(batch, state)
-                    state = sgd_step(state, grads, lr=float(opt["lr"]),
-                                     momentum=float(opt["momentum"]),
-                                     velocities=velocities)
+                state = sam_step(state, batch, lr=float(opt["lr"]), rho=rho,
+                                 momentum=float(opt["momentum"]),
+                                 velocities=velocities)
             except NonFiniteGradient:
                 _dump_divergence(state, batch, batch_idx, epoch)
                 raise
@@ -486,9 +471,8 @@ def scaffold_fold_assignment(ds: Dataset, folds: int) -> list[list[int]]:
     fold (ties to the lowest index); no scaffold key spans folds."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    groups = sorted(scaffold_groups(ds).items(), key=lambda kv: (-len(kv[1]), kv[0]))
     assignment: list[list[int]] = [[] for _ in range(folds)]
-    for _, members in groups:
+    for _, members in ds.scaffold_groups:
         target = min(range(folds), key=lambda f: (len(assignment[f]), f))
         assignment[target].extend(members)
     return [sorted(fold) for fold in assignment]
@@ -508,18 +492,16 @@ def crossvalidate(config: dict, folds: int) -> CrossValidationResult:
     cfg, ds, enc = load_encoded(config)
     fold_sets = scaffold_fold_assignment(ds, folds)
     seed = int(cfg["training"]["seed"])
-    split = make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
 
     results: list[TrainResult] = []
     reports: list[MetricsReport] = []
     for i in range(folds):
-        test_idx = fold_sets[i]
-        valid_idx = fold_sets[(i + 1) % folds]
-        train_idx = sorted(j for f, fold in enumerate(fold_sets)
-                           if f not in (i, (i + 1) % folds) for j in fold)
-        result = train_encoded(cfg, ds, enc, split, seed=seed + i,
-                               train_indices=train_idx, valid_indices=valid_idx)
-        report = evaluate_state(result.state, enc, test_idx, ds.task_names,
+        assignment = np.full(len(ds), _SPLIT_ID[TRAIN], dtype=np.int8)
+        assignment[fold_sets[(i + 1) % folds]] = _SPLIT_ID[VALID]
+        assignment[fold_sets[i]] = _SPLIT_ID[TEST]
+        split = SplitAssignment(assignment)
+        result = train_encoded(cfg, ds, enc, split, seed=seed + i)
+        report = evaluate_state(result.state, enc, split.indices(TEST), ds.task_names,
                                 TEST, seed=seed + i)
         results.append(result)
         reports.append(report)

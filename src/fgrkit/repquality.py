@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AllZeroRows, CoincidentCentroids, TooFewScaffolds
 from .nn import ModelState, forward_encoder
-from .pipeline import Dataset, EncodedDataset, scaffold_groups
+from .pipeline import Dataset, EncodedDataset
 
 
 @dataclass
@@ -131,11 +131,10 @@ def uniformity_profile(points2d: np.ndarray, bandwidth: float = 0.2,
 # ---------------------------------------------------------------------------
 
 def top_scaffold_clusters(ds: Dataset, top_s: int) -> list[tuple[str, list[int]]]:
-    groups = scaffold_groups(ds)
+    groups = ds.scaffold_groups
     if len(groups) < top_s:
         raise TooFewScaffolds(f"dataset has {len(groups)} scaffolds, need {top_s}")
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return [(key, members) for key, members in ordered[:top_s]]
+    return groups[:top_s]
 
 
 def alignment_report(state: ModelState, ds: Dataset, enc: EncodedDataset,

@@ -157,6 +157,43 @@ class TestAttributeAnalyze:
         assert len(payload["scaffolds"]) == 5
 
 
+class TestScaffoldKeysPerVerb:
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        import fgrkit.pipeline as pipeline
+        counts = {"scaffold_key": 0, "encode_dataset": 0}
+        for name in counts:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("verb, keys_per_mol", [
+        ("train", 1), ("alignment", 1), ("uniformity", 0)])
+    def test_scaffold_keys_per_molecule(self, workdir, counters, verb, keys_per_mol):
+        from fgrkit.pipeline import load_dataset
+        n = len(load_dataset(workdir / "toy.csv", "classification"))
+        if verb == "train":
+            argv = ["train", "--config", workdir / "config.json", "--out", workdir / "keys.ckpt"]
+        else:
+            argv = ["analyze", "--ckpt", workdir / "model.ckpt", "--report", verb,
+                    "--out", workdir / "keys.json"]
+        assert run(*argv) == 0
+        assert counters["scaffold_key"] == keys_per_mol * n
+
+    def test_attribute_loads_shared_data_once(self, workdir, counters):
+        from fgrkit.pipeline import load_dataset
+        n = len(load_dataset(workdir / "toy.csv", "classification"))
+        ckpt = workdir / "model.ckpt"
+        assert run("attribute", "--ckpt", ckpt, ckpt, "--method", "feature_ablation",
+                   "--out", workdir / "attr_once.tsv") == 0
+        assert counters == {"scaffold_key": n, "encode_dataset": 1}
+
+
 class TestErrors:
     def test_unknown_config_key(self, workdir, capsys):
         bad = workdir / "bad.json"
@@ -171,12 +208,19 @@ class TestErrors:
         {"data": {"ratios": [0.8, 0.1, 0.2]}},
         {"data": {"split": "foo"}},
         {"optimizer": {"kind": "adam"}},
+        {"training": {"epochs": "x"}},
+        {"model": {"latent": "big"}},
+        {"optimizer": {"lr": "fast"}},
+        {"training": {"batch_size": 0}},
+        {"training": {"runs": 0}},
+        {"interpret": {"ig_steps": True}},
     ], ids=["no-data-path", "mfg-without-vocab", "two-ratios", "ratio-sum",
-            "unknown-split", "unknown-optimizer"])
+            "unknown-split", "unknown-optimizer", "epochs-string", "latent-string",
+            "lr-string", "batch-size-zero", "runs-zero", "ig-steps-bool"])
     def test_bad_config_rejected(self, workdir, capsys, patch):
         cfg = {"data": {"path": str(workdir / "toy.csv")},
                "vocab": {"representation": "fgr", "mfg": str(workdir / "toy.mfg")},
-               "optimizer": {}, "training": {"epochs": 1}}
+               "model": {}, "optimizer": {}, "training": {"epochs": 1}, "interpret": {}}
         for section, values in patch.items():
             cfg[section].update(values)
         bad = workdir / "bad_config.json"

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,12 @@ class TestL2Normalize:
         out = l2_normalize(v)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
         assert np.allclose(out, v / 2.2e-157 / np.linalg.norm(v / 2.2e-157))
+
+    def test_overflowing_squared_norm_rescaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize(np.array([1e200, -1e200]))
+        assert np.allclose(out, [2 ** -0.5, -(2 ** -0.5)], rtol=1e-15)
 
     def test_underflowed_norm_passes_through(self):
         # the norm of [1e-170] computes as 0, so it counts as a zero vector

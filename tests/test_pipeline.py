@@ -331,6 +331,14 @@ class TestCrossValidation:
         assert 0.0 <= result.aggregate["roc_auc"]["mean"] <= 1.0
         assert result.aggregate["roc_auc"]["std"] >= 0.0
 
+    def test_fold_split_is_the_split_it_trained_on(self, toy_csv):
+        result = crossvalidate(toy_config(toy_csv, epochs=1), folds=3)
+        for i, fold_result in enumerate(result.fold_results):
+            split = fold_result.split
+            assert split.indices(TEST) == result.folds[i]
+            assert split.indices(VALID) == result.folds[(i + 1) % 3]
+            assert split.indices(TRAIN) == result.folds[(i + 2) % 3]
+
     def test_crossvalidate_deterministic(self, toy_csv):
         cfg = toy_config(toy_csv, epochs=2)
         a = crossvalidate(cfg, folds=3)
