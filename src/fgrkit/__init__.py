@@ -27,12 +27,11 @@ from .vocab import (
     scan_pair_frequencies,
 )
 from .encode import (
-    DescriptorVector,
-    MultiHotVector,
     compute_descriptors,
-    encode_combined,
     encode_fg,
     encode_mfg,
+    encode_records,
+    feature_columns,
     l2_normalize,
 )
 from .nn import (

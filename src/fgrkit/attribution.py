@@ -20,13 +20,19 @@ from .nn import CLASSIFICATION, ModelState
 
 class LogitModel:
     """Pre-activation scalar view of a trained model, differentiable in the
-    input features. The architecture is linear in its inputs, but gradients
-    are evaluated pointwise so the attribution methods stay generic."""
+    input features. The architecture is affine in its inputs, so the input
+    gradient is one constant vector per task, computed once here; the
+    attribution methods still ask for it per point, so they stay generic."""
 
     def __init__(self, state: ModelState):
         self.state = state
         self.p = state.p
         self.d = state.hyper.descriptor_dim if state.hyper.use_descriptors else 0
+        l = state.hyper.l
+        # [W_f[:l] W_e, W_f[l:]] per task; the descriptor part is empty when
+        # the model has no descriptors
+        self._grads = [np.concatenate([w_head[:l] @ state.W_e, w_head[l:]])
+                       for w_head in state.W_f]
 
     @property
     def input_width(self) -> int:
@@ -51,14 +57,8 @@ class LogitModel:
         return float(self.batch_value(u, task)[0])
 
     def grad(self, u: np.ndarray, task: int) -> np.ndarray:
-        """d(logit)/d(input) at u; constant for this architecture but
-        computed per point."""
-        state = self.state
-        w_head = state.W_f[task]
-        gx = w_head[:state.hyper.l] @ state.W_e
-        if self.d:
-            return np.concatenate([gx, w_head[state.hyper.l:]])
-        return gx.copy()
+        """d(logit)/d(input) at u: a copy of the task's constant gradient."""
+        return self._grads[task].copy()
 
 
 @dataclass

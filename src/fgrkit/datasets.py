@@ -89,8 +89,7 @@ def make_regression_dataset(n: int = 200, seed: int = 0,
         if smiles in seen:
             continue
         seen.add(smiles)
-        desc = compute_descriptors(parse_smiles(smiles))
-        v = desc.values
+        v = compute_descriptors(parse_smiles(smiles))
         target = (1.5 - 0.01 * v[0] - 0.5 * v[5] + 0.8 * v[6]
                   + noise * rng.gauss(0.0, 1.0))
         rows.append((smiles, round(target, 6)))

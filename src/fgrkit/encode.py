@@ -2,23 +2,23 @@
 
 FG bits come from SMARTS matches, MFG bits from contiguous token
 subsequences (token-level, not raw bytes, so patterns never match inside a
-bracket atom). The combined encoding is the concatenation [FG | MFG]. The
-descriptor vector implements a documented 14-slot subset padded with zeros
-to a fixed length so downstream shapes stay compatible with larger
-descriptor sets.
+bracket atom). Each per-molecule encoder returns a plain array; the one
+place that assembles rows is encode_records, which writes [FG | MFG] and
+optionally the descriptors. The descriptor vector implements a documented
+14-slot subset padded with zeros to a fixed length so downstream shapes
+stay compatible with larger descriptor sets.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chem import SINGLE, Molecule
 from .elements import HALOGENS, MONOISOTOPIC_MASS, atomic_number
-from .errors import ConfigError, NonFiniteInput, ShapeMismatch
+from .errors import ConfigError, NonFiniteInput, ShapeMismatch, VersionMismatch
 from .smarts import match_exists
 from .vocab import FGVocabulary, MFGVocabulary
 
@@ -32,29 +32,13 @@ DESCRIPTOR_NAMES = [
 ]
 
 
-@dataclass
-class MultiHotVector:
-    bits: np.ndarray  # uint8 {0,1}
-    kind: str  # "FG" | "MFG" | "FGR"
-    fingerprint: str
-
-    def __len__(self) -> int:
-        return int(self.bits.shape[0])
-
-
-@dataclass
-class DescriptorVector:
-    values: np.ndarray  # float64, fixed length
-    names: list[str]
-
-
-def encode_fg(mol: Molecule, vocab: FGVocabulary) -> MultiHotVector:
-    """Presence bit per curated pattern (matches, not counts)."""
+def encode_fg(mol: Molecule, vocab: FGVocabulary) -> np.ndarray:
+    """uint8 presence bit per curated pattern (matches, not counts)."""
     bits = np.zeros(vocab.size, dtype=np.uint8)
     for i, entry in enumerate(vocab.entries):
         if match_exists(entry.pattern, mol):
             bits[i] = 1
-    return MultiHotVector(bits=bits, kind="FG", fingerprint=vocab.fingerprint)
+    return bits
 
 
 def _subsequence_index(tokens: list[str], max_len: int) -> set[tuple[str, ...]]:
@@ -66,8 +50,9 @@ def _subsequence_index(tokens: list[str], max_len: int) -> set[tuple[str, ...]]:
     return found
 
 
-def encode_mfg(tokens: list[str], vocab: MFGVocabulary) -> MultiHotVector:
-    """Bit i set iff entry i occurs as a contiguous token subsequence."""
+def encode_mfg(tokens: list[str], vocab: MFGVocabulary) -> np.ndarray:
+    """uint8 bits; bit i is set iff entry i occurs as a contiguous token
+    subsequence."""
     bits = np.zeros(vocab.size, dtype=np.uint8)
     if vocab.size:
         max_len = max(len(e.tokens) for e in vocab.entries)
@@ -75,18 +60,7 @@ def encode_mfg(tokens: list[str], vocab: MFGVocabulary) -> MultiHotVector:
         for i, entry in enumerate(vocab.entries):
             if entry.tokens in present:
                 bits[i] = 1
-    return MultiHotVector(bits=bits, kind="MFG", fingerprint=vocab.fingerprint)
-
-
-def encode_combined(mol: Molecule, tokens: list[str], fg_vocab: FGVocabulary,
-                    mfg_vocab: MFGVocabulary) -> MultiHotVector:
-    """[FG bits | MFG bits]; FG and MFG may overlap (bit clash accepted)."""
-    fg = encode_fg(mol, fg_vocab)
-    mfg = encode_mfg(tokens, mfg_vocab)
-    return MultiHotVector(
-        bits=np.concatenate([fg.bits, mfg.bits]),
-        kind="FGR",
-        fingerprint=f"{fg_vocab.fingerprint}:{mfg_vocab.fingerprint}")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +103,9 @@ def _longest_aliphatic_chain(mol: Molecule) -> int:
     return longest
 
 
-def compute_descriptors(mol: Molecule, length: int = DESCRIPTOR_LENGTH) -> DescriptorVector:
-    """Raw (unnormalized) descriptor subset; slots beyond it stay zero."""
+def compute_descriptors(mol: Molecule, length: int = DESCRIPTOR_LENGTH) -> np.ndarray:
+    """Raw (unnormalized) float64 descriptors, named by _descriptor_names:
+    the DESCRIPTOR_NAMES subset, then zero padding up to length."""
     if length < len(DESCRIPTOR_NAMES):
         raise ShapeMismatch(f"descriptor length {length} < implemented subset")
     values = np.zeros(length, dtype=np.float64)
@@ -183,7 +158,7 @@ def compute_descriptors(mol: Molecule, length: int = DESCRIPTOR_LENGTH) -> Descr
     values[12] = _longest_aliphatic_chain(mol)
     values[13] = len(mol.components())
 
-    return DescriptorVector(values=values, names=_descriptor_names(length))
+    return values
 
 
 def _descriptor_names(length: int) -> list[str]:
@@ -243,20 +218,20 @@ def encode_records(records: Iterable[tuple[Molecule, list[str]]],
                    descriptor_length: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """(X, D) for parsed (mol, tokens) records, consumed one at a time.
 
-    X is the float64 [FG | MFG] multi-hot matrix; D holds the L2-normalized
+    X is the float64 [FG | MFG] multi-hot matrix (FG and MFG bits may mark
+    the same substructure; the clash is accepted); D holds the L2-normalized
     descriptors, or is None when descriptor_length is 0.
     """
     bit_rows, desc_rows = [], []
     for mol, tokens in records:
         bits = []
         if fg is not None:
-            bits.append(encode_fg(mol, fg).bits)
+            bits.append(encode_fg(mol, fg))
         if mfg is not None:
-            bits.append(encode_mfg(tokens, mfg).bits)
+            bits.append(encode_mfg(tokens, mfg))
         bit_rows.append(np.concatenate(bits))
         if descriptor_length:
-            desc = compute_descriptors(mol, length=descriptor_length)
-            desc_rows.append(l2_normalize(desc.values))
+            desc_rows.append(l2_normalize(compute_descriptors(mol, descriptor_length)))
     X = np.asarray(bit_rows, dtype=np.float64)
     D = np.asarray(desc_rows, dtype=np.float64) if descriptor_length else None
     return X, D
@@ -285,14 +260,24 @@ def save_matrix(X: np.ndarray, path, fingerprints: dict[str, str]) -> None:
 
 
 def load_matrix(path) -> tuple[np.ndarray, dict]:
+    """(X, header) of a save_matrix file. A bad magic or header raises
+    VersionMismatch; a payload that is not rows x cols values, ShapeMismatch."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MATRIX_MAGIC))
         if magic != _MATRIX_MAGIC:
-            from .errors import VersionMismatch
             raise VersionMismatch(f"not an fgr-matrix file: {magic!r}")
-        header = json.loads(fh.readline().decode())
-        data = np.frombuffer(fh.read(), dtype=np.dtype(header["dtype"]))
-    return data.reshape(header["rows"], header["cols"]).copy(), header
+        try:
+            header = json.loads(fh.readline().decode())
+            rows, cols = int(header["rows"]), int(header["cols"])
+            dtype = np.dtype(header["dtype"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise VersionMismatch(f"malformed fgr-matrix header: {exc!r}") from None
+        payload = fh.read()
+    if dtype.kind not in "biuf" or min(rows, cols) < 0 \
+            or len(payload) != rows * cols * dtype.itemsize:
+        raise ShapeMismatch(f"fgr-matrix payload of {len(payload)} bytes is not "
+                            f"{rows} x {cols} {dtype} values")
+    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy(), header
 
 
 def save_matrix_tsv(X: np.ndarray, path, column_labels: list[str]) -> None:

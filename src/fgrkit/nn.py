@@ -21,6 +21,7 @@ the two views agree unless a probability actually hits the clamp.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -397,30 +398,41 @@ def save_checkpoint(state: ModelState, path, seed: int = 0, epoch: int = 0,
 
 def load_checkpoint(path, expected_fingerprints: dict | None = None
                     ) -> tuple[ModelState, dict]:
-    """Load a checkpoint; refuses vocab fingerprint mismatches."""
+    """Load a checkpoint; refuses vocab fingerprint mismatches. A malformed
+    header, a short or over-long payload raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise CheckpointError(f"not an fgr-ckpt file: {magic[:20]!r}")
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline().decode())
+            hyper = ModelHyper(**header["hyper"])
+            p, k = int(header["p"]), int(header["k"])
+            specs = [(s["name"], tuple(int(n) for n in s["shape"]))
+                     for s in header["params"]]
+            stored = dict(header.get("fingerprints", {}))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
         if expected_fingerprints:
-            stored = header.get("fingerprints", {})
             for key, want in expected_fingerprints.items():
                 if key in stored and stored[key] != want:
                     raise VocabMismatch(
                         f"checkpoint was trained against a different {key} vocabulary")
-        arrays = {}
-        for spec_ in header["params"]:
-            shape = tuple(spec_["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError("truncated parameter block")
-            arrays[spec_["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-    hyper = ModelHyper(**header["hyper"])
-    state = ModelState(hyper=hyper, p=header["p"], k=header["k"],
-                       W_e=arrays["W_e"], b_e=arrays["b_e"],
-                       W_d=arrays.get("W_d"), b_d=arrays["b_d"],
-                       W_f=arrays["W_f"], b_f=arrays["b_f"],
-                       fingerprints=header.get("fingerprints", {}))
+        payload = fh.read()
+    sizes = [math.prod(shape) for _, shape in specs]
+    if any(n < 0 for _, shape in specs for n in shape) or 8 * sum(sizes) != len(payload):
+        raise CheckpointError(f"header declares {8 * sum(sizes)} parameter bytes, "
+                              f"the file holds {len(payload)}")
+    arrays, offset = {}, 0
+    for (name, shape), size in zip(specs, sizes):
+        arrays[name] = np.frombuffer(payload, np.float64, size, offset).reshape(shape).copy()
+        offset += 8 * size
+    try:
+        state = ModelState(hyper=hyper, p=p, k=k,
+                           W_e=arrays["W_e"], b_e=arrays["b_e"],
+                           W_d=arrays.get("W_d"), b_d=arrays["b_d"],
+                           W_f=arrays["W_f"], b_f=arrays["b_f"],
+                           fingerprints=stored)
+    except KeyError as exc:
+        raise CheckpointError(f"missing parameter block {exc}") from None
     return state, header

@@ -338,14 +338,11 @@ def check_fingerprints(state: ModelState, enc: EncodedDataset) -> None:
 @dataclass
 class TrainResult:
     state: ModelState            # best-validation parameters
-    final_state: ModelState
     log: list[dict]
     best_epoch: int
     split: SplitAssignment
     enc: EncodedDataset
     dataset: Dataset
-    seed: int
-    config: dict
 
 
 def _batches(order: np.ndarray, size: int):
@@ -457,9 +454,8 @@ def train_encoded(cfg: dict, ds: Dataset, enc: EncodedDataset,
         best_state, best_epoch = state, epochs
     else:
         best_state = state.with_params(best_params)
-    return TrainResult(state=best_state, final_state=state, log=log,
-                       best_epoch=best_epoch, split=split, enc=enc, dataset=ds,
-                       seed=seed, config=cfg)
+    return TrainResult(state=best_state, log=log, best_epoch=best_epoch,
+                       split=split, enc=enc, dataset=ds)
 
 
 # ---------------------------------------------------------------------------

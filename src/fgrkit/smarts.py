@@ -9,9 +9,12 @@ Bond predicates: ``- = # : ~ @``. Recursive SMARTS, stereo, isotopes,
 bond logic and component grouping are rejected loudly with
 UnsupportedPrimitive, never silently ignored.
 
-Ring-membership counts are defined over the DFS cycle basis from
-``perceive_rings``; for fused bicyclics this coincides with the usual
-SSSR counts.
+Ring-membership counts (``R<n>``) and ring sizes (``r<n>``) are read off
+the DFS back-edge cycle basis from ``perceive_rings``, whose cycles depend
+on the SMILES atom order. For fused systems they can differ from SSSR:
+naphthalene written ``c1ccc2ccccc2c1`` has rings of sizes 6 and 10, while
+``c1cccc2c1cccc2`` gives 6 and 6. Bare ``R`` (ring membership at all) is
+order-independent.
 """
 
 from __future__ import annotations

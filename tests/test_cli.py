@@ -4,6 +4,7 @@ import pytest
 
 from fgrkit.cli import main
 from fgrkit.datasets import make_hydroxyl_dataset, write_dataset_csv
+from fgrkit.nn import ModelHyper, init_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +232,11 @@ class TestErrors:
 
     def test_missing_file(self, workdir):
         assert run("evaluate", "--ckpt", workdir / "missing.ckpt") == 1
+
+    def test_truncated_checkpoint(self, workdir, capsys):
+        path = workdir / "truncated.ckpt"
+        save_checkpoint(init_model(5, 1, ModelHyper(l=4), seed=0), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        assert run("evaluate", "--ckpt", path) == 1
+        err = capsys.readouterr().err
+        assert "fgrkit: error:" in err and "Traceback" not in err

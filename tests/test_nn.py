@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgrkit.errors import AllMasked, BatchTooSmall, ShapeMismatch
+from fgrkit.errors import AllMasked, BatchTooSmall, CheckpointError, ShapeMismatch
 from fgrkit.nn import (
     Batch,
     ModelHyper,
@@ -381,3 +382,54 @@ class TestCheckpoint:
         save_checkpoint(state, p1, seed=1, epoch=2)
         save_checkpoint(state, p2, seed=1, epoch=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCheckpointMalformed:
+    @pytest.fixture
+    def parts(self, tmp_path):
+        """(path, magic line, header dict, payload) of a saved checkpoint."""
+        state, _ = random_case(11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        return path, magic + b"\n", json.loads(header), payload
+
+    @staticmethod
+    def write(path, magic, header, payload):
+        path.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+
+    def test_intact_file_loads(self, parts):
+        self.write(*parts)
+        load_checkpoint(parts[0])
+
+    def test_truncated_payload(self, parts):
+        path, magic, header, payload = parts
+        self.write(path, magic, header, payload[:-1])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, parts):
+        path, magic, header, payload = parts
+        self.write(path, magic, header, payload + b"\0")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_json_header(self, parts):
+        path, magic, _, payload = parts
+        path.write_bytes(magic + b"{hyper: 1\n" + payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_missing_header_key(self, parts):
+        path, magic, header, payload = parts
+        del header["params"]
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_unknown_hyper_key(self, parts):
+        path, magic, header, payload = parts
+        header["hyper"]["width"] = 3
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
