@@ -25,12 +25,13 @@ from .encode import (
     save_matrix,
     save_matrix_tsv,
 )
-from .errors import DegenerateTask, FgrError
+from .errors import CheckpointError, DegenerateTask, FgrError
 from .nn import load_checkpoint, save_checkpoint
 from .pipeline import (
     TEST,
     TRAIN,
     VALID,
+    SplitAssignment,
     check_fingerprints,
     evaluate_state,
     load_encoded,
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
         if ckpt_path:
             path = ckpt_path if runs == 1 else _indexed_path(ckpt_path, run)
             save_checkpoint(result.state, path, seed=seed, epoch=result.best_epoch,
-                            config_echo=cfg)
+                            config_echo=cfg, split="".join(map(str, split.assignment)))
             _emit({"event": "checkpoint", "run": run, "path": str(path),
                    "best_epoch": result.best_epoch}, args.log)
         if report is not None:
@@ -181,10 +182,11 @@ def _indexed_path(path: str, run: int) -> str:
 
 
 def _load_ckpt_with_data(ckpt_path, data_path, loaded=None):
-    """(state, header, cfg, ds, enc); an earlier ``loaded`` (cfg, ds, enc) is
-    reused when its data, vocab and model sections equal the checkpoint's."""
+    """(state, header, split, cfg, ds, enc) of a checkpoint and the data it trained
+    on; an earlier ``loaded`` (cfg, ds, enc) is reused when its data, vocab
+    and model sections equal the checkpoint's."""
     state, header = load_checkpoint(ckpt_path)
-    cfg = resolve_config(header.get("config_echo") or {})
+    cfg = resolve_config(header["config_echo"])
     if data_path:
         cfg["data"]["path"] = data_path
     validate_for_training(cfg)
@@ -192,20 +194,18 @@ def _load_ckpt_with_data(ckpt_path, data_path, loaded=None):
         loaded = load_encoded(cfg)
     _, ds, enc = loaded
     check_fingerprints(state, enc)
-    return state, header, cfg, ds, enc
-
-
-def _ckpt_split(header, cfg, ds):
-    """The checkpoint's split, recomputed from the data at its training seed."""
-    seed = int(header.get("seed", cfg["training"]["seed"]))
-    return make_split(ds, cfg["data"]["split"], tuple(cfg["data"]["ratios"]), seed)
+    split = SplitAssignment(np.array(list(header["split"]), dtype=np.int8))
+    if len(split.assignment) != len(ds):
+        raise CheckpointError(f"the checkpoint's split covers {len(split.assignment)} "
+                              f"rows, the data has {len(ds)}")
+    return state, header, split, cfg, ds, enc
 
 
 def cmd_evaluate(args) -> int:
-    state, header, cfg, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
-    indices = _ckpt_split(header, cfg, ds).indices(args.split)
+    state, header, split, _, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
+    indices = split.indices(args.split)
     report = evaluate_state(state, enc, indices, ds.task_names, args.split,
-                            seed=int(header.get("seed", 0)))
+                            seed=header["seed"])
     payload = {
         "split": args.split,
         "kind": report.kind,
@@ -220,14 +220,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    if args.method not in METHODS:
-        raise FgrError(f"--method must be one of {', '.join(METHODS)}")
     reports = []
     loaded = None
     for ckpt_path in args.ckpt:
-        state, header, cfg, ds, enc = _load_ckpt_with_data(ckpt_path, args.data, loaded)
+        state, header, split, cfg, ds, enc = _load_ckpt_with_data(ckpt_path, args.data, loaded)
         loaded = cfg, ds, enc
-        indices = _ckpt_split(header, cfg, ds).indices(args.split)
+        indices = split.indices(args.split)
         if not indices:
             raise FgrError(f"split {args.split!r} is empty")
         U = model_inputs(state, enc.X[indices],
@@ -235,7 +233,7 @@ def cmd_attribute(args) -> int:
         labels = enc.feature_labels
         kinds = enc.feature_kinds
         icfg = cfg["interpret"]
-        seed = args.seed if args.seed is not None else int(header.get("seed", 0))
+        seed = args.seed if args.seed is not None else header["seed"]
         reports.append(attribute_dataset(
             state, U, enc.Y[indices], enc.M[indices], args.method, labels, kinds,
             task=args.task, seed=seed, ig_steps=int(icfg["ig_steps"]),
@@ -264,7 +262,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    state, header, cfg, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
+    state, *_, ds, enc = _load_ckpt_with_data(args.ckpt, args.data)
     if args.report == "alignment":
         payload = alignment_report(state, ds, enc, top_s=args.top_scaffolds)
     else:

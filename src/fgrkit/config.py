@@ -46,13 +46,10 @@ DEFAULT_CONFIG: dict = {
         "metrics_out": None,
     },
     "interpret": {
-        "methods": ["integrated_gradients", "gradient_shap",
-                    "feature_ablation", "feature_permutation"],
         "ig_steps": 128,
         "shap_samples": 200,
         "shap_noise": 0.1,
         "top_k": 25,
-        "split": "test",
     },
 }
 

@@ -371,21 +371,22 @@ def sam_step(state: ModelState, batch: Batch, lr: float, rho: float,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CKPT_MAGIC = b"fgr-ckpt v1\n"
+_CKPT_MAGIC = b"fgr-ckpt v2\n"
 
 
 def save_checkpoint(state: ModelState, path, seed: int = 0, epoch: int = 0,
-                    config_echo: dict | None = None) -> None:
-    """Versioned binary: magic, JSON header, float64 row-major blocks."""
+                    config_echo: dict | None = None, split: str = "") -> None:
+    """Versioned binary: magic, JSON header, float64 row-major blocks; the
+    split trained on is one character per data row, "0"/"1"/"2" train/valid/test."""
     params = state.params()
     header = {
-        "format": 1,
         "hyper": asdict(state.hyper),
         "p": state.p,
         "k": state.k,
         "fingerprints": dict(sorted(state.fingerprints.items())),
         "seed": seed,
         "epoch": epoch,
+        "split": split,
         "params": [{"name": n, "shape": list(params[n].shape)} for n in state.param_names()],
         "config_echo": config_echo or {},
     }
@@ -396,43 +397,71 @@ def save_checkpoint(state: ModelState, path, seed: int = 0, epoch: int = 0,
             fh.write(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
 
 
+def _header_problem(header: dict, hyper: ModelHyper) -> str | None:
+    """What is wrong with the values of a checkpoint header, or None."""
+    def int_at_least(value, low):
+        return type(value) is int and value >= low
+
+    if not (int_at_least(hyper.l, 1) and int_at_least(hyper.descriptor_dim, 0)
+            and int_at_least(header["p"], 1) and int_at_least(header["k"], 1)):
+        return "hyper.l, hyper.descriptor_dim, p and k must be integers"
+    if type(hyper.tied) is not bool or type(hyper.use_descriptors) is not bool:
+        return "hyper.tied and hyper.use_descriptors must be booleans"
+    if not all(type(v) in (int, float) and math.isfinite(v)
+               for v in (hyper.alpha_t, hyper.gamma, hyper.alpha, hyper.beta)):
+        return "hyper.alpha_t, gamma, alpha and beta must be finite numbers"
+    if hyper.task not in (CLASSIFICATION, REGRESSION):
+        return f"unknown task kind {hyper.task!r}"
+    if type(header["seed"]) is not int or not isinstance(header["config_echo"], dict):
+        return "seed must be an integer and config_echo an object"
+    if not isinstance(header["split"], str) or not set(header["split"]) <= set("012"):
+        return "split must be a string of 0, 1 and 2"
+    return None
+
+
 def load_checkpoint(path, expected_fingerprints: dict | None = None
                     ) -> tuple[ModelState, dict]:
-    """Load a checkpoint; refuses vocab fingerprint mismatches. A malformed
-    header, a short or over-long payload raises CheckpointError."""
+    """Load a checkpoint; refuses vocab fingerprint mismatches. Another version,
+    a malformed header, a short or over-long payload raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
+            if magic.startswith(_CKPT_MAGIC[:-3]):
+                raise CheckpointError(f"{magic.decode(errors='replace').strip()} checkpoints "
+                                      f"are no longer read; retrain to write "
+                                      f"{_CKPT_MAGIC.decode().strip()}")
             raise CheckpointError(f"not an fgr-ckpt file: {magic[:20]!r}")
         try:
             header = json.loads(fh.readline().decode())
             hyper = ModelHyper(**header["hyper"])
-            p, k = int(header["p"]), int(header["k"])
-            specs = [(s["name"], tuple(int(n) for n in s["shape"]))
-                     for s in header["params"]]
-            stored = dict(header.get("fingerprints", {}))
+            specs = [(s["name"], tuple(s["shape"])) for s in header["params"]]
+            stored = dict(header["fingerprints"])
+            problem = _header_problem(header, hyper)
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
+        if problem:
+            raise CheckpointError(f"malformed checkpoint header: {problem}")
         if expected_fingerprints:
             for key, want in expected_fingerprints.items():
                 if key in stored and stored[key] != want:
                     raise VocabMismatch(
                         f"checkpoint was trained against a different {key} vocabulary")
         payload = fh.read()
-    sizes = [math.prod(shape) for _, shape in specs]
-    if any(n < 0 for _, shape in specs for n in shape) or 8 * sum(sizes) != len(payload):
+    p, k, l = header["p"], header["k"], hyper.l
+    want = ([("W_e", (l, p)), ("b_e", (l,))] + ([] if hyper.tied else [("W_d", (p, l))])
+            + [("b_d", (p,)), ("W_f", (k, hyper.head_width)), ("b_f", (k,))])
+    if specs != want:
+        raise CheckpointError(f"parameter blocks {specs} disagree with p, k and hyper, "
+                              f"which give {want}")
+    sizes = [math.prod(shape) for _, shape in want]
+    if 8 * sum(sizes) != len(payload):
         raise CheckpointError(f"header declares {8 * sum(sizes)} parameter bytes, "
                               f"the file holds {len(payload)}")
     arrays, offset = {}, 0
-    for (name, shape), size in zip(specs, sizes):
+    for (name, shape), size in zip(want, sizes):
         arrays[name] = np.frombuffer(payload, np.float64, size, offset).reshape(shape).copy()
         offset += 8 * size
-    try:
-        state = ModelState(hyper=hyper, p=p, k=k,
-                           W_e=arrays["W_e"], b_e=arrays["b_e"],
-                           W_d=arrays.get("W_d"), b_d=arrays["b_d"],
-                           W_f=arrays["W_f"], b_f=arrays["b_f"],
-                           fingerprints=stored)
-    except KeyError as exc:
-        raise CheckpointError(f"missing parameter block {exc}") from None
+    state = ModelState(hyper=hyper, p=p, k=k, W_e=arrays["W_e"], b_e=arrays["b_e"],
+                       W_d=arrays.get("W_d"), b_d=arrays["b_d"],
+                       W_f=arrays["W_f"], b_f=arrays["b_f"], fingerprints=stored)
     return state, header

@@ -9,6 +9,8 @@ timing, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -79,6 +81,12 @@ class Dataset:
         for i, rec in enumerate(self.records):
             groups.setdefault(scaffold_key(murcko_scaffold(rec.mol)), []).append(i)
         return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 of the task names and each kept row's SMILES and targets."""
+        rows = [[rec.smiles, rec.targets] for rec in self.records]
+        return hashlib.sha256(json.dumps([self.task_names, rows]).encode()).hexdigest()
 
     def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(Y, M): targets with zeros at gaps, and the presence mask."""
@@ -168,13 +176,9 @@ class SplitAssignment:
         return [int(i) for i in np.nonzero(self.assignment == sid)[0]]
 
 
-def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
+def scaffold_split(ds: Dataset, ratios=(0.8, 0.1, 0.1)) -> SplitAssignment:
     """Whole scaffold groups go to the first split still under capacity,
-    in train -> valid -> test order; groups are taken largest first.
-
-    The assignment is deterministic (greedy): the seed, taken so that both
-    split functions share make_split's signature, is not used.
-    """
+    in train -> valid -> test order; groups are taken largest first."""
     ratios = check_ratios(ratios)
     n = len(ds)
     caps = [int(np.floor(ratios[0] * n)), int(np.floor(ratios[1] * n))]
@@ -213,7 +217,7 @@ def random_split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAss
 
 def make_split(ds: Dataset, method: str, ratios, seed: int) -> SplitAssignment:
     if method == "scaffold":
-        return scaffold_split(ds, ratios, seed)
+        return scaffold_split(ds, ratios)
     if method == "random":
         return random_split(ds, ratios, seed)
     raise ConfigError(f"unknown split method {method!r}")
@@ -239,6 +243,7 @@ def encode_dataset(ds: Dataset, fg: FGVocabulary | None, mfg: MFGVocabulary | No
     """Multi-hot (and descriptor) cache computed once per record."""
     length = descriptor_length if use_descriptors else 0
     labels, kinds, fingerprints = feature_columns(fg, mfg, length)
+    fingerprints["data"] = ds.fingerprint
     X, D = encode_records(((rec.mol, rec.tokens) for rec in ds.records), fg, mfg, length)
     Y, M = ds.target_arrays()
     return EncodedDataset(X=X, D=D, Y=Y, M=M, feature_labels=labels,
@@ -328,7 +333,7 @@ def check_fingerprints(state: ModelState, enc: EncodedDataset) -> None:
     for key, want in enc.fingerprints.items():
         have = state.fingerprints.get(key)
         if have is not None and have != want:
-            raise VocabMismatch(f"{key} vocabulary fingerprint mismatch")
+            raise VocabMismatch(f"{key!r} fingerprint mismatch: trained on other {key}")
 
 
 # ---------------------------------------------------------------------------

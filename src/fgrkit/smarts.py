@@ -285,25 +285,20 @@ def parse_smarts(text: str) -> QueryPattern:
             anchor = branch_stack.pop()
             i += 1
         elif ch == "%" or ch.isdigit():
-            if ch == "%":
-                token = text[i:i + 3]
-                if len(token) < 3 or not token[1:].isdigit():
-                    raise MalformedQuery("malformed %nn ring closure", i, text)
-                i += 3
-            else:
-                token = ch
-                i += 1
+            token = text[i:i + 3] if ch == "%" else ch
+            if ch == "%" and (len(token) < 3 or not token[1:].isdigit()):
+                raise MalformedQuery("malformed %nn ring closure", i, text)
             if anchor is None:
                 raise MalformedQuery("ring closure before any atom", i, text)
             if token in open_rings:
-                partner, opened, off0 = open_rings.pop(token)
+                partner, opened, _ = open_rings.pop(token)
                 if pending is not None and opened is not None and pending != opened:
                     raise MalformedQuery("conflicting ring-closure bonds", i, text)
                 add_bond(partner, anchor, pending or opened, i)
-                pending = None
             else:
                 open_rings[token] = (anchor, pending, i)
-                pending = None
+            pending = None
+            i += len(token)
         else:
             # bare atom symbol (organic subset incl. two-letter and aromatic)
             sym2 = text[i:i + 2]

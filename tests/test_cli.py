@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -28,6 +29,15 @@ def workdir(tmp_path_factory):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def reading_verbs(workdir, ckpt, tag, *data) -> list[list]:
+    """evaluate, attribute and analyze on ``ckpt``, writing ``tag``-named outputs."""
+    return [["evaluate", "--ckpt", ckpt, *data, "--out", workdir / f"{tag}_eval.json"],
+            ["attribute", "--ckpt", ckpt, *data, "--method", "feature_ablation",
+             "--out", workdir / f"{tag}_attr.tsv"],
+            ["analyze", "--ckpt", ckpt, *data, "--report", "alignment",
+             "--out", workdir / f"{tag}_align.json"]]
 
 
 class TestMineVocab:
@@ -174,15 +184,17 @@ class TestScaffoldKeysPerVerb:
         return counts
 
     @pytest.mark.parametrize("verb, keys_per_mol", [
-        ("train", 1), ("alignment", 1), ("uniformity", 0)])
+        ("train", 1), ("alignment", 1), ("uniformity", 0), ("evaluate", 0), ("attribute", 0)])
     def test_scaffold_keys_per_molecule(self, workdir, counters, verb, keys_per_mol):
         from fgrkit.pipeline import load_dataset
         n = len(load_dataset(workdir / "toy.csv", "classification"))
-        if verb == "train":
-            argv = ["train", "--config", workdir / "config.json", "--out", workdir / "keys.ckpt"]
-        else:
-            argv = ["analyze", "--ckpt", workdir / "model.ckpt", "--report", verb,
-                    "--out", workdir / "keys.json"]
+        ckpt = workdir / "model.ckpt"
+        argv = {
+            "train": ["train", "--config", workdir / "config.json", "--out", workdir / "keys.ckpt"],
+            "evaluate": ["evaluate", "--ckpt", ckpt, "--out", workdir / "keys.json"],
+            "attribute": ["attribute", "--ckpt", ckpt, "--method", "feature_ablation",
+                          "--out", workdir / "keys.tsv"],
+        }.get(verb, ["analyze", "--ckpt", ckpt, "--report", verb, "--out", workdir / "keys.json"])
         assert run(*argv) == 0
         assert counters["scaffold_key"] == keys_per_mol * n
 
@@ -192,7 +204,67 @@ class TestScaffoldKeysPerVerb:
         ckpt = workdir / "model.ckpt"
         assert run("attribute", "--ckpt", ckpt, ckpt, "--method", "feature_ablation",
                    "--out", workdir / "attr_once.tsv") == 0
-        assert counters == {"scaffold_key": n, "encode_dataset": 1}
+        assert counters == {"scaffold_key": 0, "encode_dataset": 1}
+
+
+class TestCheckpointSplit:
+    def test_edited_data_refused(self, workdir, capsys):
+        data = workdir / "edited.csv"
+        shutil.copy(workdir / "toy.csv", data)
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["data"]["path"] = str(data)
+        cfg["training"].update(epochs=1, checkpoint_out=str(workdir / "edited.ckpt"),
+                               metrics_out=None)
+        (workdir / "edited.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", workdir / "edited.json") == 0
+        header, first, *rows = data.read_text().splitlines()
+        smiles, label = first.split(",")
+        data.write_text("\n".join([header, f"{smiles},{1 - int(label)}", *rows]) + "\n")
+        capsys.readouterr()
+        for argv in reading_verbs(workdir, workdir / "edited.ckpt", "edited"):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert "fgrkit: error: 'data' fingerprint mismatch" in err
+            assert "Traceback" not in err
+
+    def test_copied_data_gives_identical_outputs(self, workdir, tmp_path):
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((workdir / "toy.csv").read_bytes())
+        for tag, data in (("orig", ()), ("copy", ("--data", copy))):
+            for argv in reading_verbs(workdir, workdir / "model.ckpt", tag, *data):
+                assert run(*argv) == 0
+        for name in ("eval.json", "attr.tsv", "align.json"):
+            assert (workdir / f"orig_{name}").read_bytes() == \
+                (workdir / f"copy_{name}").read_bytes()
+        orig, copied = (json.loads((workdir / f"{tag}_attr.tsv.json").read_text())
+                        for tag in ("orig", "copy"))
+        assert copied["config_echo"]["data"].pop("path") == str(copy)
+        orig["config_echo"]["data"].pop("path")
+        assert orig == copied
+
+    def test_version_one_checkpoint_refused(self, workdir, capsys):
+        old = workdir / "v1.ckpt"
+        _, rest = (workdir / "model.ckpt").read_bytes().split(b"\n", 1)
+        old.write_bytes(b"fgr-ckpt v1\n" + rest)
+        assert run("evaluate", "--ckpt", old) == 1
+        err = capsys.readouterr().err
+        assert "fgrkit: error: fgr-ckpt v1 checkpoints are no longer read" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["params"][0]["shape"].reverse(), "disagree with p, k and hyper"),
+        (lambda h: h["hyper"].update(l=str(h["hyper"]["l"])), "must be integers"),
+        (lambda h: h.update(split=h["split"][:-1]), "split covers 119 rows, the data has 120"),
+    ], ids=["transposed-W_e", "latent-string", "split-one-short"])
+    def test_bad_header_refused(self, workdir, capsys, edit, message):
+        magic, header, payload = (workdir / "model.ckpt").read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        edit(header)
+        bad = workdir / "bad_header.ckpt"
+        bad.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        for argv in reading_verbs(workdir, bad, "bad")[:2]:
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert "fgrkit: error: " in err and message in err and "Traceback" not in err
 
 
 class TestErrors:

@@ -433,3 +433,49 @@ class TestCheckpointMalformed:
         self.write(path, magic, header, payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_version_one_refused(self, parts):
+        path, _, header, payload = parts
+        self.write(path, b"fgr-ckpt v1\n", header, payload)
+        with pytest.raises(CheckpointError, match="fgr-ckpt v1"):
+            load_checkpoint(path)
+
+    def test_transposed_weight_shape(self, parts):
+        path, magic, header, payload = parts
+        block = header["params"][0]
+        assert block["name"] == "W_e" and block["shape"][0] != block["shape"][1]
+        block["shape"].reverse()
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError, match="disagree"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, delta", [("p", 1), ("k", 1), ("l", 1),
+                                            ("descriptor_dim", 1)])
+    def test_shape_disagrees_with_dimension(self, parts, key, delta):
+        path, magic, header, payload = parts
+        if key in header:
+            header[key] += delta
+        else:
+            header["hyper"].update(use_descriptors=True, **{key: header["hyper"][key] + delta})
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError, match="disagree"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("l", "4"), ("l", 4.0), ("l", True), ("descriptor_dim", "0"), ("tied", 1),
+        ("use_descriptors", "no"), ("alpha_t", "0.25"), ("alpha", float("nan")),
+        ("gamma", float("inf")), ("task", "ranking"), ("task", None)])
+    def test_wrong_hyper_value(self, parts, key, value):
+        path, magic, header, payload = parts
+        header["hyper"][key] = value
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("split", ["0123", "0 1", 12, None, ["0", "1"]])
+    def test_malformed_split(self, parts, split):
+        path, magic, header, payload = parts
+        header["split"] = split
+        self.write(path, magic, header, payload)
+        with pytest.raises(CheckpointError, match="split"):
+            load_checkpoint(path)

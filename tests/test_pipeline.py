@@ -104,7 +104,7 @@ class TestSplits:
 
     def test_ten_singletons_811(self):
         ds = self._singleton_dataset(10)
-        split = scaffold_split(ds, (0.8, 0.1, 0.1), seed=0)
+        split = scaffold_split(ds, (0.8, 0.1, 0.1))
         sizes = [len(split.indices(s)) for s in (TRAIN, VALID, TEST)]
         assert sizes == [8, 1, 1]
 
@@ -114,20 +114,20 @@ class TestSplits:
         write_dataset_csv(rows, p)
         ds = load_dataset(p, "regression")
         with pytest.warns(UserWarning):
-            split = scaffold_split(ds, (0.8, 0.1, 0.1), seed=0)
+            split = scaffold_split(ds, (0.8, 0.1, 0.1))
         assert len(split.indices(TRAIN)) == len(ds)
         assert len(split.indices(VALID)) == len(split.indices(TEST)) == 0
 
     def test_partition_disjoint_exhaustive(self, toy_csv):
         ds = load_dataset(toy_csv, "classification")
-        for split in (scaffold_split(ds, seed=0), random_split(ds, seed=0)):
+        for split in (scaffold_split(ds), random_split(ds, seed=0)):
             groups = [split.indices(s) for s in (TRAIN, VALID, TEST)]
             joined = sorted(i for g in groups for i in g)
             assert joined == list(range(len(ds)))
 
     def test_scaffold_purity(self, toy_csv):
         ds = load_dataset(toy_csv, "classification")
-        split = scaffold_split(ds, seed=0)
+        split = scaffold_split(ds)
         seen: dict[str, set] = {}
         for name in (TRAIN, VALID, TEST):
             for i in split.indices(name):
@@ -141,7 +141,7 @@ class TestSplits:
         p = tmp_path / "tb.csv"
         write_dataset_csv(rows, p)
         ds = load_dataset(p, "regression")
-        split = scaffold_split(ds, seed=0)
+        split = scaffold_split(ds)
         benzene_like = {name for name in (TRAIN, VALID, TEST)
                         for i in split.indices(name) if i in (0, 1, 2)}
         assert len(benzene_like) == 1
@@ -168,7 +168,7 @@ class TestSplits:
         ds = load_dataset(toy_csv, "classification")
         for split_fn in (scaffold_split, random_split):
             with pytest.raises(ConfigError, match="data.ratios"):
-                split_fn(ds, ratios, seed=0)
+                split_fn(ds, ratios)
         with pytest.raises(ConfigError, match="data.ratios"):
             train(toy_config(toy_csv) | {"data": {"path": toy_csv, "ratios": ratios}})
 

@@ -56,6 +56,16 @@ class TestParseSmarts:
         with pytest.raises(MalformedQuery):
             parse_smarts("")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1C", 0), ("C1CC", 1), ("C%10CC", 1), ("C11", 2), ("C=1CC-1", 6)])
+    def test_ring_closure_errors_point_at_the_token_as_in_smiles(self, text, offset):
+        from fgrkit.errors import UnbalancedRingClosure
+        with pytest.raises(MalformedQuery) as smarts_error:
+            parse_smarts(text)
+        with pytest.raises(UnbalancedRingClosure) as smiles_error:
+            parse_smiles(text)
+        assert smarts_error.value.offset == smiles_error.value.offset == offset
+
     def test_empty_or_dangling_atom_expressions(self):
         # regression: an empty bracket once looped forever in charge parsing
         for bad in ["[]", "[])6N", "[,]", "[;]", "[&]", "[!]", "[C&]", "[C,]"]:
