@@ -96,6 +96,10 @@ class Molecule:
     stereo_markers: list[tuple[int, str]] = field(default_factory=list)
     _adjacency: list[list[tuple[int, int]]] | None = None
     _rings: list[list[int]] | None = None
+    _bond_index: dict[tuple[int, int], int] | None = field(
+        default=None, compare=False, repr=False)
+    _atom_ring_sizes: list[list[int]] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_atoms(self) -> int:
@@ -109,28 +113,43 @@ class Molecule:
         """Per-atom list of (neighbor index, bond index), ascending."""
         if self._adjacency is None:
             adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
+            index: dict[tuple[int, int], int] = {}
             for bi, bond in enumerate(self.bonds):
                 adj[bond.a].append((bond.b, bi))
                 adj[bond.b].append((bond.a, bi))
+                index.setdefault((bond.a, bond.b), bi)
+                index.setdefault((bond.b, bond.a), bi)
             for row in adj:
                 row.sort()
             self._adjacency = adj
+            self._bond_index = index
         return self._adjacency
 
     def degree(self, idx: int) -> int:
         return len(self.adjacency()[idx])
 
     def bond_between(self, i: int, j: int) -> Bond | None:
-        for nbr, bi in self.adjacency()[i]:
-            if nbr == j:
-                return self.bonds[bi]
-        return None
+        """The lowest-index bond joining atoms i and j, or None."""
+        self.adjacency()
+        bi = self._bond_index.get((i, j))
+        return None if bi is None else self.bonds[bi]
 
     def rings(self) -> list[list[int]]:
         """Cached cycle basis; computes in_ring flags on first use."""
         if self._rings is None:
             self._rings = perceive_rings(self)
         return self._rings
+
+    def atom_ring_sizes(self) -> list[list[int]]:
+        """Per atom, the size of each basis cycle through it; the list's
+        length is the atom's ring count."""
+        if self._atom_ring_sizes is None:
+            sizes: list[list[int]] = [[] for _ in self.atoms]
+            for cyc in self.rings():
+                for idx in cyc:
+                    sizes[idx].append(len(cyc))
+            self._atom_ring_sizes = sizes
+        return self._atom_ring_sizes
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""

@@ -365,22 +365,7 @@ def _check_connected(pattern: QueryPattern, text: str) -> None:
 # matching
 # ---------------------------------------------------------------------------
 
-class _MolContext:
-    """Per-molecule ring statistics reused across atoms."""
-
-    def __init__(self, mol: Molecule):
-        self.mol = mol
-        cycles = mol.rings()
-        self.ring_count = [0] * mol.num_atoms
-        self.ring_sizes: list[set[int]] = [set() for _ in range(mol.num_atoms)]
-        for cyc in cycles:
-            for idx in cyc:
-                self.ring_count[idx] += 1
-                self.ring_sizes[idx].add(len(cyc))
-
-
-def _eval_atom(node: tuple, ctx: _MolContext, idx: int) -> bool:
-    mol = ctx.mol
+def _eval_atom(node: tuple, mol: Molecule, idx: int) -> bool:
     atom = mol.atoms[idx]
     kind = node[0]
     if kind == "element":
@@ -404,22 +389,18 @@ def _eval_atom(node: tuple, ctx: _MolContext, idx: int) -> bool:
         return mol.degree(idx) + atom.total_h == node[1]
     if kind == "charge":
         return atom.formal_charge == node[1]
-    if kind == "ring_any":
-        return ctx.ring_count[idx] > 0
+    if kind in ("ring_any", "ring_size_any"):
+        return bool(mol.atom_ring_sizes()[idx])
     if kind == "ring_count":
-        if node[1] == 0:
-            return ctx.ring_count[idx] == 0
-        return ctx.ring_count[idx] == node[1]
-    if kind == "ring_size_any":
-        return ctx.ring_count[idx] > 0
+        return len(mol.atom_ring_sizes()[idx]) == node[1]
     if kind == "ring_size":
-        return node[1] in ctx.ring_sizes[idx]
+        return node[1] in mol.atom_ring_sizes()[idx]
     if kind == "not":
-        return not _eval_atom(node[1], ctx, idx)
+        return not _eval_atom(node[1], mol, idx)
     if kind == "and":
-        return all(_eval_atom(c, ctx, idx) for c in node[1])
+        return all(_eval_atom(c, mol, idx) for c in node[1])
     if kind == "or":
-        return any(_eval_atom(c, ctx, idx) for c in node[1])
+        return any(_eval_atom(c, mol, idx) for c in node[1])
     raise AssertionError(f"unknown node {node!r}")
 
 
@@ -435,17 +416,18 @@ def _eval_bond(pred: str, order: str, in_ring: bool) -> bool:
 
 def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
     """Backtracking embedding enumeration in lexicographic tuple order."""
-    ctx = _MolContext(mol)
     nq = pattern.num_atoms
     nm = mol.num_atoms
+    adj = mol.adjacency()
+    mol.rings()  # sets the bonds' in_ring flags that '@' reads
     # query adjacency restricted to earlier atoms (SMARTS order guarantees
     # each atom after the first touches at least one earlier atom)
     earlier: list[list[tuple[int, str]]] = [[] for _ in range(nq)]
     for a, b, pred in pattern.bonds:
         lo, hi = (a, b) if a < b else (b, a)
         earlier[hi].append((lo, pred))
-    atom_ok = [[_eval_atom(pattern.atoms[q].tree, ctx, m) for m in range(nm)]
-               for q in range(nq)]
+    # atom predicates are evaluated on first visit only, then memoised
+    atom_ok: list[list[bool | None]] = [[None] * nm for _ in range(nq)]
 
     out: list[tuple[int, ...]] = []
     mapping: list[int] = []
@@ -457,11 +439,16 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
             return limit is not None and len(out) >= limit
         if earlier[q]:
             anchor_q, _ = earlier[q][0]
-            candidates = sorted(v for v, _bi in mol.adjacency()[mapping[anchor_q]])
+            candidates = (v for v, _bi in adj[mapping[anchor_q]])
         else:
             candidates = range(nm)
+        ok_q = atom_ok[q]
         for m in candidates:
-            if used[m] or not atom_ok[q][m]:
+            if used[m]:
+                continue
+            if ok_q[m] is None:
+                ok_q[m] = _eval_atom(pattern.atoms[q].tree, mol, m)
+            if not ok_q[m]:
                 continue
             ok = True
             for prev_q, pred in earlier[q]:
