@@ -23,6 +23,7 @@ from .elements import (
     ORGANIC_SUBSET,
     STANDARD_VALENCES,
     ATOMIC_NUMBERS,
+    atomic_number,
 )
 from .errors import (
     CanonicalizationBudgetExceeded,
@@ -96,10 +97,9 @@ class Molecule:
     stereo_markers: list[tuple[int, str]] = field(default_factory=list)
     _adjacency: list[list[tuple[int, int]]] | None = None
     _rings: list[list[int]] | None = None
-    _bond_index: dict[tuple[int, int], int] | None = field(
-        default=None, compare=False, repr=False)
-    _atom_ring_sizes: list[list[int]] | None = field(
-        default=None, compare=False, repr=False)
+    _bond_index: dict[tuple, int] | None = field(default=None, compare=False, repr=False)
+    _atom_ring_sizes: list | None = field(default=None, compare=False, repr=False)
+    _atoms_by_number: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_atoms(self) -> int:
@@ -141,8 +141,7 @@ class Molecule:
         return self._rings
 
     def atom_ring_sizes(self) -> list[list[int]]:
-        """Per atom, the size of each basis cycle through it; the list's
-        length is the atom's ring count."""
+        """Per atom, the size of each basis cycle through it (so, its ring count)."""
         if self._atom_ring_sizes is None:
             sizes: list[list[int]] = [[] for _ in self.atoms]
             for cyc in self.rings():
@@ -150,6 +149,15 @@ class Molecule:
                     sizes[idx].append(len(cyc))
             self._atom_ring_sizes = sizes
         return self._atom_ring_sizes
+
+    def atoms_by_number(self) -> dict[int, list[int]]:
+        """Atomic number -> ascending indices of the atoms that carry it."""
+        if self._atoms_by_number is None:
+            index: dict[int, list[int]] = {}
+            for i, atom in enumerate(self.atoms):
+                index.setdefault(atomic_number(atom.element), []).append(i)
+            self._atoms_by_number = index
+        return self._atoms_by_number
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""

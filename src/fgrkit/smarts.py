@@ -15,11 +15,25 @@ on the SMILES atom order. For fused systems they can differ from SSSR:
 naphthalene written ``c1ccc2ccccc2c1`` has rings of sizes 6 and 10, while
 ``c1cccc2c1cccc2`` gives 6 and 6. Bare ``R`` (ring membership at all) is
 order-independent.
+
+Matching reads per-molecule caches that ``Molecule`` builds once and every
+query shares: adjacency rows with a bond lookup by atom pair, each atom's
+basis-cycle sizes, and the ascending atoms of each atomic number. The
+backtracking search evaluates an atom predicate only on a candidate it
+reaches, once per (query atom, molecule atom). Before it searches, a screen
+returns no match when the molecule has fewer atoms of some atomic number than
+the query forces. A query atom forces one only through an element or ``#n``
+primitive that stands alone or under 'and' (``&``, ``;`` or juxtaposition);
+one under ``,`` or ``!`` forces nothing, so the screen never drops a match.
+The first query atom's candidates are the ascending atoms of its forced
+element, which keeps embeddings in lexicographic order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chem import AROMATIC, SINGLE, Molecule
 from .elements import ATOMIC_NUMBERS, AROMATIC_OK, atomic_number
@@ -65,6 +79,28 @@ class QueryPattern:
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
+
+    @cached_property
+    def mandatory_numbers(self) -> list[int | None]:
+        """Per query atom, the atomic number every match must carry, if forced."""
+        return [_mandatory_number(a.tree) for a in self.atoms]
+
+    @cached_property
+    def required_counts(self) -> dict[int, int]:
+        """Atomic number -> how many query atoms are forced to carry it."""
+        return Counter(z for z in self.mandatory_numbers if z is not None)
+
+
+def _mandatory_number(node: tuple) -> int | None:
+    """Atomic number forced by an element or ``#n`` primitive that stands
+    alone or under 'and'; one under 'or' or 'not' forces nothing."""
+    if node[0] == "element":
+        return atomic_number(node[1])
+    if node[0] == "number":
+        return node[1]
+    if node[0] == "and":
+        return next((z for z in map(_mandatory_number, node[1]) if z is not None), None)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +374,10 @@ def parse_smarts(text: str) -> QueryPattern:
         raise MalformedQuery("dangling bond at end", pending_off, text)
     if not pattern.atoms:
         raise MalformedQuery("no atoms in SMARTS", 0, text)
-    _check_connected(pattern, text)
-    return pattern
-
-
-def _check_connected(pattern: QueryPattern, text: str) -> None:
-    if pattern.num_atoms <= 1:
-        return
-    adj: dict[int, set[int]] = {i: set() for i in range(pattern.num_atoms)}
-    for a, b, _ in pattern.bonds:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != pattern.num_atoms:
+    # the matcher extends each query atom after the first from an earlier one
+    if len({max(a, b) for a, b, _ in pattern.bonds}) != pattern.num_atoms - 1:
         raise MalformedQuery("disconnected query graph", 0, text)
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +388,7 @@ def _eval_atom(node: tuple, mol: Molecule, idx: int) -> bool:
     atom = mol.atoms[idx]
     kind = node[0]
     if kind == "element":
-        if atom.element != node[1]:
-            return False
-        want_aromatic = node[2]
-        if want_aromatic is None:
-            return True
-        return atom.aromatic == want_aromatic
+        return atom.element == node[1] and node[2] in (None, atom.aromatic)
     if kind == "number":
         return atomic_number(atom.element) == node[1]
     if kind == "wildcard":
@@ -419,8 +433,13 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
     nq = pattern.num_atoms
     nm = mol.num_atoms
     adj = mol.adjacency()
+    by_number = mol.atoms_by_number()
+    if any(len(by_number.get(z, ())) < n for z, n in pattern.required_counts.items()):
+        return []
+    first = pattern.mandatory_numbers[0]
+    roots = range(nm) if first is None else by_number[first]
     mol.rings()  # sets the bonds' in_ring flags that '@' reads
-    # query adjacency restricted to earlier atoms (SMARTS order guarantees
+    # query adjacency restricted to earlier atoms (parse_smarts guarantees
     # each atom after the first touches at least one earlier atom)
     earlier: list[list[tuple[int, str]]] = [[] for _ in range(nq)]
     for a, b, pred in pattern.bonds:
@@ -441,7 +460,7 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
             anchor_q, _ = earlier[q][0]
             candidates = (v for v, _bi in adj[mapping[anchor_q]])
         else:
-            candidates = range(nm)
+            candidates = roots
         ok_q = atom_ok[q]
         for m in candidates:
             if used[m]:
@@ -473,8 +492,6 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
 
 def match_exists(pattern: QueryPattern, mol: Molecule) -> bool:
     """True iff at least one embedding of the query exists in the molecule."""
-    if mol.num_atoms == 0:
-        return False
     return bool(_search(pattern, mol, limit=1))
 
 
@@ -483,6 +500,4 @@ def find_embeddings(pattern: QueryPattern, mol: Molecule,
     """Up to ``limit`` injective embeddings, lexicographic by mapped tuple."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if mol.num_atoms == 0:
-        return []
     return _search(pattern, mol, limit=limit)
