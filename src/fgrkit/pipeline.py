@@ -102,8 +102,9 @@ class Dataset:
 
 
 def load_dataset(path, task_kind: str) -> Dataset:
-    """CSV with a `smiles` column; remaining columns are tasks, empty cells
-    are missing labels. Unusable rows are dropped and counted."""
+    """CSV with a `smiles` column; remaining columns are tasks, empty or
+    missing trailing cells are missing labels. Unusable rows (too many cells,
+    no SMILES cell, a bad label or SMILES) are dropped and counted."""
     import csv
 
     if task_kind not in (CLASSIFICATION, REGRESSION):
@@ -126,6 +127,9 @@ def load_dataset(path, task_kind: str) -> Dataset:
         dropped: dict[str, int] = {}
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) > len(header) or len(row) <= smiles_col:
+                dropped["bad_width"] = dropped.get("bad_width", 0) + 1
                 continue
             smiles = row[smiles_col].strip()
             targets: list[float | None] = []

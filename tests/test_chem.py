@@ -5,6 +5,8 @@ import pytest
 from fgrkit.chem import (
     AROMATIC,
     SINGLE,
+    Atom,
+    Bond,
     Molecule,
     canonical_smiles,
     murcko_scaffold,
@@ -13,6 +15,8 @@ from fgrkit.chem import (
     scaffold_key,
     tokenize_smiles,
 )
+from fgrkit.datasets import load_bundled_corpus
+from fgrkit.elements import atomic_number
 from fgrkit.errors import (
     ParseError,
     UnbalancedParenthesis,
@@ -173,6 +177,53 @@ class TestRings:
         m = parse_smiles("C1CC12CC2.C1CC1")
         cycles = perceive_rings(m)
         assert len(cycles) == m.num_bonds - m.num_atoms + len(m.components()) == 3
+
+
+def _scan_bond(mol, i, j):
+    """Reference: the first bond in list order joining i and j."""
+    for bond in mol.bonds:
+        if (bond.a, bond.b) in ((i, j), (j, i)):
+            return bond
+    return None
+
+
+class TestMoleculeCaches:
+    def test_bond_between_equals_a_linear_scan_on_the_bundled_corpus(self):
+        for smiles in load_bundled_corpus():
+            mol = parse_smiles(smiles)
+            for i in range(mol.num_atoms):
+                for j in range(mol.num_atoms):  # self and non-bonded pairs included
+                    assert mol.bond_between(i, j) is _scan_bond(mol, i, j)
+
+    def test_bond_between_returns_the_lowest_index_bond(self):
+        mol = Molecule(atoms=[Atom("C", index=0), Atom("C", index=1), Atom("O", index=2)],
+                       bonds=[Bond(0, 1), Bond(1, 2), Bond(1, 0, order="double")])
+        assert mol.bond_between(1, 0) is mol.bond_between(0, 1) is mol.bonds[0]
+        assert mol.bond_between(0, 2) is None
+        assert mol.bond_between(0, 2) is _scan_bond(mol, 0, 2)
+        assert mol.bond_between(2, 1) is _scan_bond(mol, 2, 1)
+
+    def test_ring_sizes_and_element_index(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            mol = parse_smiles(random_molecule_smiles(rng))
+            cycles = mol.rings()
+            assert mol.atom_ring_sizes() == [
+                [len(c) for c in cycles if i in c] for i in range(mol.num_atoms)]
+            index = mol.atoms_by_number()
+            assert sorted(i for atoms in index.values() for i in atoms) == list(
+                range(mol.num_atoms))
+            for z, atoms in index.items():
+                assert atoms == sorted(atoms)
+                assert all(atomic_number(mol.atoms[i].element) == z for i in atoms)
+
+    def test_caches_stay_out_of_repr_and_equality(self):
+        a, b = parse_smiles("c1ccccc1O"), parse_smiles("c1ccccc1O")
+        a.atom_ring_sizes(), a.atoms_by_number()
+        b.atom_ring_sizes(), b.atoms_by_number()
+        b._bond_index = b._atom_ring_sizes = b._atoms_by_number = None
+        assert a == b
+        assert "_atoms_by_number" not in repr(a) and "_bond_index" not in repr(a)
 
 
 class TestScaffold:

@@ -213,6 +213,7 @@ class TestCheckpointSplit:
         shutil.copy(workdir / "toy.csv", data)
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["data"]["path"] = str(data)
+        cfg["vocab"] = {"representation": "fg"}
         cfg["training"].update(epochs=1, checkpoint_out=str(workdir / "edited.ckpt"),
                                metrics_out=None)
         (workdir / "edited.json").write_text(json.dumps(cfg))
@@ -301,6 +302,20 @@ class TestErrors:
         assert run("train", "--config", bad) == 1
         err = capsys.readouterr().err
         assert "fgrkit: error:" in err and "Traceback" not in err
+
+    def test_train_drops_rows_of_the_wrong_width(self, workdir, capsys):
+        data = workdir / "wide.csv"
+        data.write_text((workdir / "toy.csv").read_text() + "CCO,1,2\n")
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["data"]["path"] = str(data)
+        cfg["vocab"] = {"representation": "fg"}
+        cfg["training"].update(epochs=1, checkpoint_out=str(workdir / "wide.ckpt"),
+                               metrics_out=str(workdir / "wide_metrics.json"))
+        config = workdir / "wide.json"
+        config.write_text(json.dumps(cfg))
+        assert run("train", "--config", config) == 0
+        err = capsys.readouterr().err
+        assert "'bad_width': 1" in err and "Traceback" not in err
 
     def test_missing_file(self, workdir):
         assert run("evaluate", "--ckpt", workdir / "missing.ckpt") == 1

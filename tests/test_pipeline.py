@@ -68,6 +68,19 @@ class TestLoadDataset:
         assert ds.report["rows_dropped"] == 1
         assert ds.report["drop_reasons"]["bad_smiles"] == 1
 
+    @pytest.mark.parametrize("text", [
+        "smiles,t\nCCO,1\nCC,1,2\nCCC,0\n",  # more cells than the header
+        "t,smiles\n1,CCO\n0\n0,CCC\n",  # too short to hold the SMILES cell
+    ], ids=["too-wide", "no-smiles-cell"])
+    def test_bad_width_rows_dropped_and_counted(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        ds = load_dataset(p, "classification")
+        assert [r.smiles for r in ds.records] == ["CCO", "CCC"]
+        assert ds.report["drop_reasons"] == {"bad_width": 1}
+        Y, M = ds.target_arrays()
+        assert Y.tolist() == [[1.0], [0.0]] and M.tolist() == [[1], [1]]
+
     def test_multitask_blanks_become_mask(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("smiles,a,b\nCCO,1,\nCC,,0\nCCC,1,1\n")

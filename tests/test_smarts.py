@@ -1,10 +1,13 @@
 import random
+from math import perm
 
 import pytest
 
 from fgrkit.chem import parse_smiles
+from fgrkit.datasets import load_bundled_corpus, starter_fg_vocab_path
 from fgrkit.errors import MalformedQuery, UnsupportedPrimitive
 from fgrkit.smarts import find_embeddings, match_exists, parse_smarts
+from fgrkit.vocab import load_fg_vocab
 
 from helpers import random_molecule_smiles, relabeled_copy
 from oracles import oracle_embeddings, oracle_match
@@ -155,7 +158,13 @@ class TestOracleEquivalence:
         "[#7X3]", "*", "CC", "C=O", "C~N", "CO", "C(C)C", "ccc", "C=C",
         "[#6][#8]", "[CH2][CH2]", "CCO", "[R][R]", "C@C",
         "[C;!R]", "[c,n][c,n]", "O=C[OH]", "NC=O",
+        # screen edge cases: elements under 'not'/'or' force nothing, and
+        # repeated elements need as many molecule atoms
+        "[!C]", "[N,O]", "[!#6]", "[#8]", "OCO", "C(O)(O)O", "[Cl]", "[!c;!n]",
+        "[#1]", "[#6;H1]", "[O;!H0]",
     ]
+    EXPLICIT_H = ["[H]OC([H])([H])[H]", "[H]N([H])C(=O)O", "[H]c1ccccc1",
+                  "[H]C(O)(O)O", "[H]Cl", "[H][H]", "[2H]OC", "C[N+]([H])(C)C"]
 
     def test_agreement_on_random_pairs(self):
         rng = random.Random(99)
@@ -211,3 +220,30 @@ class TestOracleEquivalence:
             mol = parse_smiles(smiles)
             if match_exists(query, mol):
                 assert match_exists(query, parse_smiles(smiles + ".CC"))
+
+    def test_explicit_hydrogen_molecules_match_oracle(self):
+        for smiles in self.EXPLICIT_H:
+            mol = parse_smiles(smiles)
+            for text in self.QUERY_POOL:
+                query = parse_smarts(text)
+                want = oracle_embeddings(query, mol)
+                assert find_embeddings(query, mol, limit=100000) == want, (smiles, text)
+                assert match_exists(query, mol) == bool(want), (smiles, text)
+
+    def test_bundled_corpus_against_starter_vocab(self):
+        # seeded (molecule, pattern) pairs for which the brute-force oracle's
+        # nm!/(nm-nq)! assignments stay cheap; about 3 s on a 2-CPU machine
+        mols = [parse_smiles(s) for s in load_bundled_corpus()]
+        patterns = [e.pattern for e in load_fg_vocab(starter_fg_vocab_path()).entries]
+        rng = random.Random(12)
+        pairs = hits = 0
+        while pairs < 1000:
+            mol, query = rng.choice(mols), rng.choice(patterns)
+            if perm(mol.num_atoms, query.num_atoms) > 5000:
+                continue
+            pairs += 1
+            want = oracle_embeddings(query, mol)
+            hits += bool(want)
+            assert match_exists(query, mol) == bool(want), (mol.source, query.source)
+            assert find_embeddings(query, mol, limit=10 ** 6) == want
+        assert hits >= 20
