@@ -102,9 +102,8 @@ class Dataset:
 
 
 def load_dataset(path, task_kind: str) -> Dataset:
-    """CSV with a `smiles` column; remaining columns are tasks, empty or
-    missing trailing cells are missing labels. Unusable rows (too many cells,
-    no SMILES cell, a bad label or SMILES) are dropped and counted."""
+    """CSV with a `smiles` column; remaining columns are tasks, empty cells
+    are missing labels. Unusable rows are dropped and counted."""
     import csv
 
     if task_kind not in (CLASSIFICATION, REGRESSION):

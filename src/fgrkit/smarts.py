@@ -92,8 +92,7 @@ class QueryPattern:
 
 
 def _mandatory_number(node: tuple) -> int | None:
-    """Atomic number forced by an element or ``#n`` primitive that stands
-    alone or under 'and'; one under 'or' or 'not' forces nothing."""
+    """The atomic number ``node`` forces, if any (see the module docstring)."""
     if node[0] == "element":
         return atomic_number(node[1])
     if node[0] == "number":
@@ -411,10 +410,17 @@ def _eval_atom(node: tuple, mol: Molecule, idx: int) -> bool:
         return node[1] in mol.atom_ring_sizes()[idx]
     if kind == "not":
         return not _eval_atom(node[1], mol, idx)
+    # plain loops, not all()/any() over a generator: this is the hot path
     if kind == "and":
-        return all(_eval_atom(c, mol, idx) for c in node[1])
+        for c in node[1]:
+            if not _eval_atom(c, mol, idx):
+                return False
+        return True
     if kind == "or":
-        return any(_eval_atom(c, mol, idx) for c in node[1])
+        for c in node[1]:
+            if _eval_atom(c, mol, idx):
+                return True
+        return False
     raise AssertionError(f"unknown node {node!r}")
 
 
