@@ -213,7 +213,6 @@ class TestCheckpointSplit:
         shutil.copy(workdir / "toy.csv", data)
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["data"]["path"] = str(data)
-        cfg["vocab"] = {"representation": "fg"}
         cfg["training"].update(epochs=1, checkpoint_out=str(workdir / "edited.ckpt"),
                                metrics_out=None)
         (workdir / "edited.json").write_text(json.dumps(cfg))

@@ -138,11 +138,11 @@ class TestMatching:
 
     def test_default_bond_between_aromatics_spans_biphenyl(self):
         # unspecified bond between aromatic query atoms: single-or-aromatic
-        q = parse_smarts("cc")
-        assert match_exists(q, parse_smiles("c1ccccc1-c1ccccc1"))
+        biphenyl = parse_smiles("c1ccccc1-c1ccccc1")  # atoms 5 and 6 are the link
+        assert (5, 6) in find_embeddings(parse_smarts("cc"), biphenyl)
         # explicit aromatic bond must not match the biphenyl single link
         q_arom = parse_smarts("c:c")
-        bridge = parse_smarts("c1ccccc1c1ccccc1")
+        assert (5, 6) not in find_embeddings(q_arom, biphenyl)
         assert match_exists(q_arom, parse_smiles("c1ccccc1"))
 
     def test_double_bond(self):
