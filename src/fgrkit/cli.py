@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -84,9 +85,7 @@ def _read_smiles_column(path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_mine_vocab(args) -> int:
-    lines = []
-    for path in args.corpus:
-        lines.extend(read_corpus(path))
+    lines = chain.from_iterable(read_corpus(path) for path in args.corpus)
     vocab = mine_mfg(lines, eta=args.eta, mvs=args.mvs)
     save_vocab(vocab, args.out)
     _emit({"event": "mined", "entries": vocab.size,

@@ -1,12 +1,13 @@
 """Multi-hot molecule encodings and 2D descriptors.
 
 FG bits come from SMARTS matches, MFG bits from contiguous token
-subsequences (token-level, not raw bytes, so patterns never match inside a
-bracket atom). Each per-molecule encoder returns a plain array; the one
-place that assembles rows is encode_records, which writes [FG | MFG] and
-optionally the descriptors. The descriptor vector implements a documented
-14-slot subset padded with zeros to a fixed length so downstream shapes
-stay compatible with larger descriptor sets.
+subsequences found in a trie over the vocabulary's entries (token-level,
+not raw bytes, so patterns never match inside a bracket atom). Each
+per-molecule encoder returns a plain array; the one place that assembles
+rows is encode_records, which writes [FG | MFG] and optionally the
+descriptors. The descriptor vector implements a documented 14-slot subset
+padded with zeros to a fixed length so downstream shapes stay compatible
+with larger descriptor sets.
 """
 
 from __future__ import annotations
@@ -41,25 +42,20 @@ def encode_fg(mol: Molecule, vocab: FGVocabulary) -> np.ndarray:
     return bits
 
 
-def _subsequence_index(tokens: list[str], max_len: int) -> set[tuple[str, ...]]:
-    found: set[tuple[str, ...]] = set()
-    n = len(tokens)
-    for length in range(1, min(max_len, n) + 1):
-        for start in range(n - length + 1):
-            found.add(tuple(tokens[start:start + length]))
-    return found
-
-
 def encode_mfg(tokens: list[str], vocab: MFGVocabulary) -> np.ndarray:
     """uint8 bits; bit i is set iff entry i occurs as a contiguous token
-    subsequence."""
+    subsequence. Walks the vocabulary's token trie from every start."""
     bits = np.zeros(vocab.size, dtype=np.uint8)
-    if vocab.size:
-        max_len = max(len(e.tokens) for e in vocab.entries)
-        present = _subsequence_index(tokens, max_len)
-        for i, entry in enumerate(vocab.entries):
-            if entry.tokens in present:
-                bits[i] = 1
+    trie = vocab.token_trie
+    hits: list[int] = []
+    for start in range(len(tokens)):
+        node = trie
+        for tok in tokens[start:]:
+            node = node.get(tok)
+            if node is None:
+                break
+            hits += node.get(None, ())
+    bits[hits] = 1
     return bits
 
 

@@ -78,6 +78,10 @@ class EmptyCorpus(VocabError):
     pass
 
 
+class CorruptCorpus(VocabError):
+    """A compressed corpus file that is truncated or not gzip."""
+
+
 class VersionMismatch(VocabError):
     pass
 

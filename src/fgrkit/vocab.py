@@ -9,22 +9,28 @@ tokenized SMILES: count all adjacent token pairs (overlaps included), merge
 the most frequent pair corpus-wide by greedy left-to-right replacement,
 append it to the vocabulary, and repeat until the best frequency drops
 below the threshold or the vocabulary hits its size cap. Ties break on the
-lexicographically smallest (left, right) pair. Pair counts are updated
-incrementally by re-counting only the sequences that contain the merged
-pair, which is exactly equivalent to a full re-count.
+lexicographically smallest (left, right) pair. Each merge is picked from a
+max-heap of pair counts with lazy invalidation, and only the counts of the
+pairs next to a merge site are updated (the BPE-trainer structure of
+Sennrich et al. 2016); the result equals a full re-count after every merge.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import heapq
 import io
 import re
+import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 from .chem import tokenize_smiles
 from .errors import (
+    ConfigError,
+    CorruptCorpus,
     EmptyCorpus,
     FgrError,
     MalformedLine,
@@ -154,6 +160,19 @@ class MFGVocabulary:
     def merged_entries(self) -> list[MFGEntry]:
         return [e for e in self.entries if len(e.tokens) > 1]
 
+    @cached_property
+    def token_trie(self) -> dict:
+        """Nested dicts keyed by token; the key None of a node lists the
+        indices of the entries that end there (a repeated entry lists each
+        copy). Built on first use; entries must not change afterwards."""
+        root: dict = {}
+        for i, entry in enumerate(self.entries):
+            node = root
+            for tok in entry.tokens:
+                node = node.setdefault(tok, {})
+            node.setdefault(None, []).append(i)
+        return root
+
     @property
     def fingerprint(self) -> str:
         body = "\n".join(f"{e.frequency}\t{_US.join(e.tokens)}" for e in self.entries)
@@ -172,46 +191,54 @@ def scan_pair_frequencies(sequences: list[list[str]]) -> dict[tuple[str, str], i
     return counts
 
 
-def _greedy_replace(seq: list[str], a: str, b: str, merged: str) -> list[str]:
-    out: list[str] = []
+def _merge_sites(seq: list[str], a: str, b: str) -> list[int]:
+    """Start positions of the pairs (a, b) that a greedy left-to-right
+    replacement merges."""
+    sites: list[int] = []
+    last = len(seq) - 1
     i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == a and seq[i + 1] == b:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
+    try:
+        while True:
+            i = seq.index(a, i)
+            if i < last and seq[i + 1] == b:
+                sites.append(i)
+                i += 2
+            else:
+                i += 1
+    except ValueError:
+        return sites
 
 
 def mine_mfg(corpus: Iterable[str], eta: int, mvs: int) -> MFGVocabulary:
     """Mine a pattern vocabulary from SMILES strings.
 
     eta=500 / mvs=30000 suit corpora of millions of molecules; desk-scale
-    corpora want a much smaller eta. Untokenizable lines are skipped and
-    counted in ``skipped_lines``. Deterministic given corpus order: ties
+    corpora want a much smaller eta. The corpus is read once, as a stream.
+    Lines that do not tokenize, or cannot be encoded as UTF-8 (read_corpus
+    keeps undecodable bytes as lone surrogates), are skipped and counted in
+    ``skipped_lines``. Deterministic given corpus order: ties
     break on the lexicographically smallest (left, right) token pair.
     """
     if eta <= 0 or mvs <= 0:
-        raise ValueError("eta and mvs must be positive")
+        raise ConfigError(f"eta and mvs must be positive, got eta={eta} mvs={mvs}")
     sequences: list[list[str]] = []
-    kept_lines: list[str] = []
+    digest = hashlib.sha256()  # of the kept lines, joined by newlines
     skipped = 0
     for line in corpus:
         smiles = line.strip()
         if not smiles:
             continue
         try:
+            data = smiles.encode()
             sequences.append(tokenize_smiles(smiles))
-            kept_lines.append(smiles)
-        except FgrError:
+        except (UnicodeEncodeError, FgrError):
             skipped += 1
+            continue
+        if len(sequences) > 1:
+            digest.update(b"\n")
+        digest.update(data)
     if not sequences:
         raise EmptyCorpus("no tokenizable SMILES in corpus")
-
-    fingerprint = hashlib.sha256("\n".join(kept_lines).encode()).hexdigest()
 
     token_counts: dict[str, int] = {}
     for seq in sequences:
@@ -219,7 +246,7 @@ def mine_mfg(corpus: Iterable[str], eta: int, mvs: int) -> MFGVocabulary:
             token_counts[tok] = token_counts.get(tok, 0) + 1
     base_tokens: dict[str, tuple[str, ...]] = {t: (t,) for t in token_counts}
 
-    vocab = MFGVocabulary(eta=eta, mvs=mvs, corpus_fingerprint=fingerprint,
+    vocab = MFGVocabulary(eta=eta, mvs=mvs, corpus_fingerprint=digest.hexdigest(),
                           skipped_lines=skipped)
     for tok in sorted(token_counts):
         vocab.entries.append(MFGEntry(tokens=(tok,), frequency=token_counts[tok]))
@@ -230,28 +257,50 @@ def mine_mfg(corpus: Iterable[str], eta: int, mvs: int) -> MFGVocabulary:
     for sid, seq in enumerate(sequences):
         for pair in zip(seq, seq[1:]):
             pair_seqs.setdefault(pair, set()).add(sid)
+    # max-heap on count with lazy invalidation: an entry is live while its
+    # count equals counts[pair]; the smallest (-count, pair) is the pick
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
 
     seen_sequences = {e.tokens for e in vocab.entries}
-    while vocab.size < mvs and counts:
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        (left, right), freq = best
+    while vocab.size < mvs and heap:
+        neg_freq, (left, right) = heapq.heappop(heap)
+        if counts.get((left, right)) != -neg_freq:
+            continue  # stale entry
+        freq = -neg_freq
         if freq < eta:
             break
         merged = left + right
         base_tokens[merged] = base_tokens[left] + base_tokens[right]
-        for sid in sorted(pair_seqs.get((left, right), ())):
+        changed: set[tuple[str, str]] = set()
+        for sid in pair_seqs.pop((left, right)):
             seq = sequences[sid]
-            replaced = _greedy_replace(seq, left, right, merged)
-            if len(replaced) == len(seq):
+            sites = _merge_sites(seq, left, right)
+            if not sites:
                 continue  # stale index entry; pair no longer present
-            for pair in zip(seq, seq[1:]):
-                counts[pair] -= 1
-                if counts[pair] == 0:
+            # Only pairs that touch a merged position change: the old
+            # (prev, a), (a, b), (b, next) and the new (prev, M), (M, next).
+            n_pairs = len(seq) - 1
+            for j in {i + d for i in sites for d in (-1, 0, 1) if 0 <= i + d < n_pairs}:
+                pair = (seq[j], seq[j + 1])
+                c = counts[pair] - 1
+                if c:
+                    counts[pair] = c
+                else:
                     del counts[pair]
-            for pair in zip(replaced, replaced[1:]):
+                changed.add(pair)
+            for i in reversed(sites):
+                seq[i:i + 2] = (merged,)
+            new_sites = [i - t for t, i in enumerate(sites)]
+            n_pairs = len(seq) - 1
+            for k in {i + d for i in new_sites for d in (-1, 0) if 0 <= i + d < n_pairs}:
+                pair = (seq[k], seq[k + 1])
                 counts[pair] = counts.get(pair, 0) + 1
                 pair_seqs.setdefault(pair, set()).add(sid)
-            sequences[sid] = replaced
+                changed.add(pair)
+        for pair in changed:
+            if pair in counts:
+                heapq.heappush(heap, (-counts[pair], pair))
         vocab.merge_log.append(((left, right), freq))
         base = base_tokens[merged]
         # set semantics: distinct merge routes can concatenate to the same
@@ -282,7 +331,7 @@ def save_vocab(vocab: MFGVocabulary, path) -> None:
 
 def load_mfg_vocab(path) -> MFGVocabulary:
     """Load a saved MFG vocabulary; lossless inverse of save_vocab."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
         if match is None:
@@ -293,6 +342,10 @@ def load_mfg_vocab(path) -> MFGVocabulary:
             line = raw.rstrip("\n")
             if not line:
                 continue
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                raise MalformedLine(lineno, "not valid UTF-8") from exc
             if "\t" not in line:
                 raise MalformedLine(lineno, "expected <frequency><TAB><tokens>")
             freq_text, tok_text = line.split("\t", 1)
@@ -306,12 +359,21 @@ def load_mfg_vocab(path) -> MFGVocabulary:
 
 
 def read_corpus(path) -> Iterator[str]:
-    """Yield SMILES lines from a text or gzip corpus file."""
+    """Yield SMILES lines from a text or gzip corpus file.
+
+    Bytes that are not UTF-8 are kept as lone surrogates (``surrogateescape``),
+    so such a line cannot be encoded back and ``mine_mfg`` skips it. A gzip
+    file that is truncated or not gzip at all raises ``CorruptCorpus``.
+    """
     opener: TextIO
     if str(path).endswith(".gz"):
-        opener = io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
+        opener = io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
+                                  errors="surrogateescape")
     else:
-        opener = open(path, "r", encoding="utf-8")
-    with opener as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+        opener = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    try:
+        with opener as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise CorruptCorpus(f"{path}: {exc}") from exc

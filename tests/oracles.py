@@ -230,6 +230,26 @@ def finite_difference_gradients(loss_fn, params: dict[str, np.ndarray],
     return grads
 
 
+# --- MFG encoding ----------------------------------------------------------------
+
+def oracle_mfg_bits(tokens: list[str], entries) -> np.ndarray:
+    """The set encoder: every contiguous token subsequence up to the longest
+    entry goes into a set, then each entry is looked up in it."""
+    bits = np.zeros(len(entries), dtype=np.uint8)
+    if not entries:
+        return bits
+    max_len = max(len(e.tokens) for e in entries)
+    present: set[tuple[str, ...]] = set()
+    n = len(tokens)
+    for length in range(1, min(max_len, n) + 1):
+        for start in range(n - length + 1):
+            present.add(tuple(tokens[start:start + length]))
+    for i, entry in enumerate(entries):
+        if entry.tokens in present:
+            bits[i] = 1
+    return bits
+
+
 # --- pattern mining --------------------------------------------------------------
 
 def oracle_merge_sequence(sequences: list[list[str]], eta: int, mvs: int,

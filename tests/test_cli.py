@@ -58,6 +58,60 @@ class TestMineVocab:
                    "--out", out) == 0
         assert out.read_bytes() == (workdir / "toy.mfg").read_bytes()
 
+    def test_several_corpus_files_stream_as_one(self, workdir):
+        lines = (workdir / "corpus.smi").read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        (workdir / "part1.smi").write_text("".join(lines[:half]))
+        (workdir / "part2.smi").write_text("".join(lines[half:]))
+        out = workdir / "parts.mfg"
+        assert run("mine-vocab", "--corpus", workdir / "part1.smi", workdir / "part2.smi",
+                   "--eta", 4, "--mvs", 500, "--out", out) == 0
+        assert out.read_bytes() == (workdir / "toy.mfg").read_bytes()
+
+    def test_undecodable_line_skipped(self, workdir, capsys):
+        bad = workdir / "bad_byte.smi"
+        bad.write_bytes((workdir / "corpus.smi").read_bytes() + b"CC[C\xf2]O\n")
+        out = workdir / "bad_byte.mfg"
+        assert run("mine-vocab", "--corpus", bad, "--eta", 4, "--mvs", 500,
+                   "--out", out) == 0
+        assert "skipped_lines=1" in capsys.readouterr().out
+        assert out.read_bytes() == (workdir / "toy.mfg").read_bytes()
+
+
+class TestMineVocabBadInput:
+    """Each case exits 1 with a one-line error and no traceback."""
+
+    @pytest.mark.parametrize("case", ["only-bad-bytes", "truncated-gz", "not-gzip",
+                                      "eta-zero", "mvs-negative"])
+    def test_exits_cleanly(self, workdir, capsys, case):
+        import gzip
+        path = workdir / f"{case}.smi"
+        eta, mvs = 2, 100
+        if case == "only-bad-bytes":
+            path.write_bytes(b"C\xf2\nCC\xf2O\n")
+        elif case == "truncated-gz":
+            path = workdir / f"{case}.smi.gz"
+            path.write_bytes(gzip.compress((workdir / "corpus.smi").read_bytes())[:-40])
+        elif case == "not-gzip":
+            path = workdir / f"{case}.smi.gz"
+            path.write_bytes(b"CCO\nCCN\n")
+        else:
+            path.write_text("CCO\nCCN\n")
+            eta, mvs = (0, 100) if case == "eta-zero" else (2, -5)
+        assert run("mine-vocab", "--corpus", path, "--eta", eta, "--mvs", mvs,
+                   "--out", workdir / f"{case}.mfg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fgrkit: error: ") and "Traceback" not in err
+
+    def test_encode_with_undecodable_vocabulary(self, workdir, capsys):
+        vocab = workdir / "bad_vocab.mfg"
+        vocab.write_bytes((workdir / "toy.mfg").read_bytes() + b"3\tC\xf2\n")
+        assert run("encode", "--data", workdir / "toy.csv", "--mfg", vocab,
+                   "--out", workdir / "bad_vocab.bin") == 1
+        err = capsys.readouterr().err
+        assert "fgrkit: error: line" in err and "not valid UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestEncode:
     def test_binary_and_deterministic(self, workdir):

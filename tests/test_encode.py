@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgrkit.chem import canonical_smiles, parse_smiles, tokenize_smiles
-from fgrkit.datasets import starter_fg_vocab_path
+from fgrkit.datasets import load_bundled_corpus, starter_fg_vocab_path
 from fgrkit.encode import (
     DESCRIPTOR_NAMES,
     compute_descriptors,
@@ -22,10 +22,10 @@ from fgrkit.encode import (
     save_matrix_tsv,
 )
 from fgrkit.errors import NonFiniteInput, ShapeMismatch, VersionMismatch
-from fgrkit.vocab import FGVocabulary, MFGVocabulary, load_fg_vocab, mine_mfg
+from fgrkit.vocab import FGVocabulary, MFGEntry, MFGVocabulary, load_fg_vocab, mine_mfg
 
 from helpers import random_molecule_smiles
-from oracles import oracle_embeddings
+from oracles import oracle_embeddings, oracle_mfg_bits
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,40 @@ class TestEncodeMFG:
         a = encode_mfg(tokenize_smiles("OCC"), vocab)
         b = encode_mfg(tokenize_smiles("CCO"), vocab)
         assert not np.array_equal(a, b)
+
+
+class TestTrieEncoder:
+    """encode_mfg walks a token trie; the set encoder is the reference."""
+
+    @pytest.mark.parametrize("eta", [2, 10])
+    def test_bundled_corpus_matches_set_encoder(self, eta):
+        corpus = load_bundled_corpus()
+        vocab = mine_mfg(corpus, eta=eta, mvs=10 ** 6)
+        rng = random.Random(eta)
+        for smiles in rng.sample(corpus, 250):
+            tokens = tokenize_smiles(smiles)
+            assert np.array_equal(encode_mfg(tokens, vocab),
+                                  oracle_mfg_bits(tokens, vocab.entries)), smiles
+
+    def test_repeated_and_overlong_entries(self):
+        corpus = load_bundled_corpus()
+        longest = max(len(tokenize_smiles(s)) for s in corpus)
+        entries = [MFGEntry(("C",), 9), MFGEntry(("c", "1"), 5), MFGEntry(("C",), 9),
+                   MFGEntry(("O",), 4), MFGEntry(("C",) * (longest + 1), 1),
+                   MFGEntry(("c", "1"), 5)]
+        vocab = MFGVocabulary(entries=entries)
+        hits = 0
+        for smiles in corpus:
+            tokens = tokenize_smiles(smiles)
+            bits = encode_mfg(tokens, vocab)
+            assert np.array_equal(bits, oracle_mfg_bits(tokens, entries)), smiles
+            assert bits[0] == bits[2] and bits[1] == bits[5] and bits[4] == 0
+            hits += int(bits[1])
+        assert hits > 0
+
+    def test_empty_vocabulary_and_empty_tokens(self, toy_mfg):
+        assert encode_mfg(tokenize_smiles("CCO"), MFGVocabulary()).shape == (0,)
+        assert not encode_mfg([], toy_mfg).any()
 
 
 class TestEncoderArrays:

@@ -1,13 +1,23 @@
+import gzip
+import hashlib
 import random
 
 import pytest
 
+from fgrkit.chem import tokenize_smiles
 from fgrkit.datasets import starter_fg_vocab_path
-from fgrkit.errors import EmptyCorpus, MalformedLine, VersionMismatch
+from fgrkit.errors import (
+    ConfigError,
+    CorruptCorpus,
+    EmptyCorpus,
+    MalformedLine,
+    VersionMismatch,
+)
 from fgrkit.vocab import (
     load_fg_vocab,
     load_mfg_vocab,
     mine_mfg,
+    read_corpus,
     save_vocab,
     scan_pair_frequencies,
 )
@@ -140,6 +150,85 @@ class TestMineMFG:
         assert v.merge_log == want
 
 
+def small_alphabet_corpus(rng: random.Random) -> list[str]:
+    """Lines over two or three tokens: long runs of one token give
+    overlapping pairs and back-to-back merge sites, and later merges join
+    tokens that are merges themselves."""
+    alphabet = rng.choice([["C"], ["C", "O"], ["C", "O", "N"], ["c", "C"],
+                           ["C", "Cl"], ["C", "1"]])
+    return ["".join(rng.choice(alphabet) * rng.randint(1, 6)
+                    for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(2, 30))]
+
+
+class TestMinerUpdates:
+    """The merge loop updates only the pairs next to each merge site; these
+    corpora stress exactly those updates against the full re-count."""
+
+    def test_small_alphabet_corpora_match_recount_oracle(self):
+        rng = random.Random(23)
+        nested = 0
+        for _ in range(80):
+            corpus = small_alphabet_corpus(rng)
+            eta = rng.choice([1, 2, 3, 5])
+            v = mine_mfg(corpus, eta=eta, mvs=10 ** 6)
+            assert v.skipped_lines == 0
+            sequences = [tokenize_smiles(s) for s in corpus]
+            assert v.merge_log == oracle_merge_sequence(sequences, eta, 10 ** 6,
+                                                        v.n_initial), corpus
+            nested += sum(len(a) > 1 and len(b) > 1 for (a, b), _ in v.merge_log)
+        assert nested > 0  # some merges joined two merged tokens
+
+    def test_back_to_back_sites_counted_once(self):
+        # C C C C C: merging (C, C) leaves CC CC C; the (C, C) pair between
+        # the two sites must be removed once, not twice
+        v = mine_mfg(["CCCCC", "CCCCC"], eta=2, mvs=100)
+        assert v.merge_log == [(("C", "C"), 8), (("CC", "C"), 2), (("CC", "CCC"), 2)]
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_capped_vocabulary_is_a_prefix_of_the_uncapped(self, seed):
+        rng = random.Random(seed)
+        corpus = synthetic_corpus(150, seed=seed) + small_alphabet_corpus(rng)
+        full = mine_mfg(corpus, eta=2, mvs=10 ** 6)
+        for extra in (-1, 0, 1, 2, 7, 30):
+            capped = mine_mfg(corpus, eta=2, mvs=max(1, full.n_initial + extra))
+            assert capped.entries == full.entries[:len(capped.entries)]
+            assert capped.merge_log == full.merge_log[:len(capped.merge_log)]
+            assert len(capped.merged_entries) == max(0, extra)
+
+
+class TestMiningInput:
+    def test_generator_input_and_fingerprint_of_kept_lines(self):
+        lines = ["CCO", "", "not smiles!!", "CC\udcf2O", "  CCN  ", "c1ccccc1"]
+        v = mine_mfg(iter(lines), eta=2, mvs=100)
+        assert v.skipped_lines == 2
+        want = hashlib.sha256("CCO\nCCN\nc1ccccc1".encode()).hexdigest()
+        assert v.corpus_fingerprint == want
+        assert v == mine_mfg(["CCO", "CCN", "c1ccccc1"], eta=2, mvs=100)
+
+    @pytest.mark.parametrize("eta, mvs", [(0, 10), (2, 0), (-1, 5)])
+    def test_non_positive_eta_or_mvs(self, eta, mvs):
+        with pytest.raises(ConfigError):
+            mine_mfg(["CCO"], eta=eta, mvs=mvs)
+
+    def test_undecodable_corpus_line_skipped(self, tmp_path):
+        p = tmp_path / "c.smi"
+        p.write_bytes(b"CCO\nC[C\xf2]O\nCCN\n")
+        v = mine_mfg(read_corpus(p), eta=1, mvs=100)
+        assert v.skipped_lines == 1
+        assert v.corpus_fingerprint == hashlib.sha256(b"CCO\nCCN").hexdigest()
+        assert all("\udcf2" not in e.text for e in v.entries)
+
+    def test_truncated_and_non_gzip_files(self, tmp_path):
+        truncated = tmp_path / "t.smi.gz"
+        truncated.write_bytes(gzip.compress(b"CCO\n" * 200)[:-12])
+        fake = tmp_path / "f.smi.gz"
+        fake.write_bytes(b"CCO\n")
+        for path in (truncated, fake):
+            with pytest.raises(CorruptCorpus):
+                list(read_corpus(path))
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         v = mine_mfg(synthetic_corpus(50, seed=2), eta=2, mvs=500)
@@ -154,6 +243,12 @@ class TestPersistence:
         loaded = load_mfg_vocab(p)
         assert (loaded.eta, loaded.mvs) == (5, 30000)
         assert loaded.corpus_fingerprint == v.corpus_fingerprint
+
+    def test_undecodable_line_names_its_number(self, tmp_path):
+        p = tmp_path / "bad.mfg"
+        p.write_bytes(b"fgr-mfg v1 eta=2 mvs=10 corpus=ab\n3\tC\n2\tC\xf2\n")
+        with pytest.raises(MalformedLine, match="line 3"):
+            load_mfg_vocab(p)
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.mfg"
