@@ -7,15 +7,19 @@ Usage, from the repository root:
 It rewrites the two files next to it, from the bundled 500-molecule corpus:
 
 - ``molecules.tsv``: for each molecule, its canonical SMILES, the scaffold
-  key of its Murcko scaffold and its ring-size multiset;
+  key of its Murcko scaffold, its ring-size multiset and three integer
+  slots of ``compute_descriptors`` (``aromatic_rings``, ``rotatable_bonds``
+  and ``longest_aliphatic_chain``);
 - ``manifest.json``: the sha256 of the vocabularies that ``fgrkit
   mine-vocab`` mines at two etas, and of ``fgrkit encode``'s fgr matrix
   (binary and ``--tsv``) and mfg matrix (binary).
 
-Nothing here goes through BLAS: no descriptors, no training, attribution
-or analysis, whose last bits can depend on the BLAS build and its thread
-count. ``tests/test_golden.py`` recomputes both files and compares them
-with the committed ones. A change that alters these outputs on purpose
+Nothing here goes through BLAS: no training, attribution or analysis, and
+no L2-normalised descriptor block, whose last bits can depend on the BLAS
+build and its thread count. The three raw descriptor slots are integer
+counts computed in pure Python, so they are exact on every build.
+``tests/test_golden.py`` recomputes both files and compares them with
+the committed ones. A change that alters these outputs on purpose
 reruns this script and lists the rows that moved.
 """
 
@@ -32,20 +36,27 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ETAS = (2, 10)
 MVS = 30000
+# integer slots of compute_descriptors, written raw (never normalised)
+DESCRIPTOR_SLOTS = ("aromatic_rings", "rotatable_bonds", "longest_aliphatic_chain")
 
 
 def molecules_tsv() -> str:
     """One row per bundled molecule: SMILES, canonical SMILES, Murcko
-    scaffold key and sorted ring sizes."""
+    scaffold key, sorted ring sizes and the raw DESCRIPTOR_SLOTS."""
     from fgrkit.chem import canonical_smiles, murcko_scaffold, parse_smiles, scaffold_key
     from fgrkit.datasets import load_bundled_corpus
+    from fgrkit.encode import DESCRIPTOR_NAMES, compute_descriptors
 
-    rows = ["smiles\tcanonical_smiles\tscaffold_key\tring_sizes"]
+    slots = [DESCRIPTOR_NAMES.index(name) for name in DESCRIPTOR_SLOTS]
+    rows = ["\t".join(["smiles", "canonical_smiles", "scaffold_key", "ring_sizes",
+                       *DESCRIPTOR_SLOTS])]
     for smiles in load_bundled_corpus():
         mol = parse_smiles(smiles)
         rings = ",".join(str(n) for n in sorted(len(ring) for ring in mol.rings()))
+        values = compute_descriptors(mol)
+        counts = "".join(f"\t{int(values[i])}" for i in slots)
         rows.append(f"{smiles}\t{canonical_smiles(mol)}"
-                    f"\t{scaffold_key(murcko_scaffold(mol))}\t{rings}")
+                    f"\t{scaffold_key(murcko_scaffold(mol))}\t{rings}{counts}")
     return "\n".join(rows) + "\n"
 
 
