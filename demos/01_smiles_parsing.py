@@ -29,7 +29,8 @@ for atom in mol.atoms[:5]:
           f"total_h={atom.total_h}")
 
 # Ring perception returns a cycle basis (size = bonds - atoms + components)
-# and stamps in_ring flags used by the SMARTS matcher and descriptors.
+# and leaves the molecule unchanged. mol.rings() caches the same basis, and
+# the SMARTS matcher and descriptors read ring membership off that cache.
 cycles = perceive_rings(mol)
 print(f"rings: {cycles}")
 

@@ -61,7 +61,6 @@ class Atom:
     formal_charge: int = 0
     explicit_h: int = 0
     implicit_h: int = 0
-    in_ring: bool = False
     index: int = -1
     from_bracket: bool = False
 
@@ -77,7 +76,6 @@ class Bond:
     a: int
     b: int
     order: str = SINGLE
-    in_ring: bool = False
 
     def other(self, idx: int) -> int:
         return self.b if idx == self.a else self.a
@@ -95,10 +93,11 @@ class Molecule:
     bonds: list[Bond] = field(default_factory=list)
     source: str = ""
     stereo_markers: list[tuple[int, str]] = field(default_factory=list)
-    _adjacency: list[list[tuple[int, int]]] | None = None
-    _rings: list[list[int]] | None = None
+    _adjacency: list[list[tuple[int, int]]] | None = field(default=None, compare=False, repr=False)
     _bond_index: dict[tuple, int] | None = field(default=None, compare=False, repr=False)
+    _rings: list[list[int]] | None = field(default=None, compare=False, repr=False)
     _atom_ring_sizes: list | None = field(default=None, compare=False, repr=False)
+    _ring_bonds: set | None = field(default=None, compare=False, repr=False)
     _atoms_by_number: dict | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -135,7 +134,8 @@ class Molecule:
         return None if bi is None else self.bonds[bi]
 
     def rings(self) -> list[list[int]]:
-        """Cached cycle basis; computes in_ring flags on first use."""
+        """The cycle basis of ``perceive_rings``, computed once; the other
+        ring caches derive from it."""
         if self._rings is None:
             self._rings = perceive_rings(self)
         return self._rings
@@ -149,6 +149,13 @@ class Molecule:
                     sizes[idx].append(len(cyc))
             self._atom_ring_sizes = sizes
         return self._atom_ring_sizes
+
+    def ring_bonds(self) -> set[tuple[int, int]]:
+        """Atom pairs (lower index first) of the bonds on a basis cycle."""
+        if self._ring_bonds is None:
+            self._ring_bonds = {(i, j) if i < j else (j, i)
+                                for cyc in self.rings() for i, j in zip(cyc, cyc[1:] + cyc[:1])}
+        return self._ring_bonds
 
     def atoms_by_number(self) -> dict[int, list[int]]:
         """Atomic number -> ascending indices of the atoms that carry it."""
@@ -516,9 +523,10 @@ def _atom_offset(atom: Atom, mol: Molecule) -> int:
 # ---------------------------------------------------------------------------
 
 def perceive_rings(mol: Molecule) -> list[list[int]]:
-    """Cycle basis via DFS back edges; sets in_ring flags as a side effect.
+    """Cycle basis via DFS back edges; reads ``mol`` and writes nothing to it.
 
-    Basis size equals bonds - atoms + components.
+    Basis size equals bonds - atoms + components. Callers go through the
+    cached ``Molecule.rings()``.
     """
     adj = mol.adjacency()
     n = mol.num_atoms
@@ -559,21 +567,6 @@ def perceive_rings(mol: Molecule) -> list[list[int]]:
                     ring_bond_idx.add(bi)
             if not advanced:
                 stack.pop()
-
-    ring_bonds: set[tuple[int, int]] = set()
-    for cyc in cycles:
-        for k in range(len(cyc)):
-            i, j = cyc[k], cyc[(k + 1) % len(cyc)]
-            ring_bonds.add((i, j) if i < j else (j, i))
-    for bond in mol.bonds:
-        bond.in_ring = bond.pair in ring_bonds
-    for atom in mol.atoms:
-        atom.in_ring = False
-    for bond in mol.bonds:
-        if bond.in_ring:
-            mol.atoms[bond.a].in_ring = True
-            mol.atoms[bond.b].in_ring = True
-    mol._rings = cycles
     return cycles
 
 
@@ -589,14 +582,14 @@ def murcko_scaffold(mol: Molecule) -> Molecule:
     hydrogens of surviving non-bracket atoms are recomputed for the pruned
     environment so that e.g. toluene's scaffold equals benzene.
     """
-    mol.rings()  # ensure in_ring flags
     alive = [True] * mol.num_atoms
     adj = mol.adjacency()
+    ring_sizes = mol.atom_ring_sizes()
     changed = True
     while changed:
         changed = False
-        for i, atom in enumerate(mol.atoms):
-            if not alive[i] or atom.in_ring:
+        for i in range(mol.num_atoms):
+            if not alive[i] or ring_sizes[i]:
                 continue
             deg = sum(1 for v, _ in adj[i] if alive[v])
             if deg <= 1:
@@ -626,7 +619,6 @@ def _induced_subgraph(mol: Molecule, keep: list[int]) -> Molecule:
                 continue
             _, fill = _sigma_and_fill(sub, atom.index)
             atom.implicit_h = _default_implicit_h(atom, fill) or 0
-        sub.rings()
     return sub
 
 

@@ -67,9 +67,9 @@ def _longest_aliphatic_chain(mol: Molecule) -> int:
     """Longest path over non-aromatic, non-ring carbons (a forest)."""
     from collections import deque
 
-    mol.rings()
+    ring_sizes = mol.atom_ring_sizes()
     keep = {i for i, a in enumerate(mol.atoms)
-            if a.element == "C" and not a.aromatic and not a.in_ring}
+            if a.element == "C" and not a.aromatic and not ring_sizes[i]}
     if not keep:
         return 0
     adj = {i: [v for v, _ in mol.adjacency()[i] if v in keep] for i in keep}
@@ -136,7 +136,7 @@ def compute_descriptors(mol: Molecule, length: int = DESCRIPTOR_LENGTH) -> np.nd
                          if all(mol.atoms[i].aromatic for i in cyc))
     rotatable = sum(
         1 for b in mol.bonds
-        if b.order == SINGLE and not b.in_ring
+        if b.order == SINGLE and b.pair not in mol.ring_bonds()
         and mol.degree(b.a) >= 2 and mol.degree(b.b) >= 2)
 
     values[0] = mw

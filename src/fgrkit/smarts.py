@@ -18,15 +18,16 @@ order-independent.
 
 Matching reads per-molecule caches that ``Molecule`` builds once and every
 query shares: adjacency rows with a bond lookup by atom pair, each atom's
-basis-cycle sizes, and the ascending atoms of each atomic number. The
-backtracking search evaluates an atom predicate only on a candidate it
-reaches, once per (query atom, molecule atom). Before it searches, a screen
-returns no match when the molecule has fewer atoms of some atomic number than
-the query forces. A query atom forces one only through an element or ``#n``
-primitive that stands alone or under 'and' (``&``, ``;`` or juxtaposition);
-one under ``,`` or ``!`` forces nothing, so the screen never drops a match.
-The first query atom's candidates are the ascending atoms of its forced
-element, which keeps embeddings in lexicographic order.
+basis-cycle sizes, the ring bonds (read by ``@``) and the ascending atoms of
+each atomic number. The backtracking search evaluates an atom predicate
+only on a candidate it reaches, once per (query atom, molecule atom).
+Before it searches, a screen returns no match when the molecule has fewer
+atoms of some atomic number than the query forces. A query atom forces one
+only through an element or ``#n`` primitive that stands alone or under
+'and' (``&``, ``;`` or juxtaposition); one under ``,`` or ``!`` forces
+nothing, so the screen never drops a match. The first query atom's
+candidates are the ascending atoms of its forced element, which keeps
+embeddings in lexicographic order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .chem import AROMATIC, SINGLE, Molecule
+from .chem import AROMATIC, SINGLE, Bond, Molecule
 from .elements import ATOMIC_NUMBERS, AROMATIC_OK, atomic_number
 from .errors import MalformedQuery, UnsupportedPrimitive
 
@@ -424,14 +425,14 @@ def _eval_atom(node: tuple, mol: Molecule, idx: int) -> bool:
     raise AssertionError(f"unknown node {node!r}")
 
 
-def _eval_bond(pred: str, order: str, in_ring: bool) -> bool:
+def _eval_bond(pred: str, bond: Bond, mol: Molecule) -> bool:
     if pred == BOND_ANY:
         return True
     if pred == BOND_RING:
-        return in_ring
+        return bond.pair in mol.ring_bonds()
     if pred == BOND_SINGLE_OR_AROMATIC:
-        return order in (SINGLE, AROMATIC)
-    return order == pred
+        return bond.order in (SINGLE, AROMATIC)
+    return bond.order == pred
 
 
 def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
@@ -444,7 +445,6 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
         return []
     first = pattern.mandatory_numbers[0]
     roots = range(nm) if first is None else by_number[first]
-    mol.rings()  # sets the bonds' in_ring flags that '@' reads
     # query adjacency restricted to earlier atoms (parse_smarts guarantees
     # each atom after the first touches at least one earlier atom)
     earlier: list[list[tuple[int, str]]] = [[] for _ in range(nq)]
@@ -478,7 +478,7 @@ def _search(pattern: QueryPattern, mol: Molecule, limit: int | None):
             ok = True
             for prev_q, pred in earlier[q]:
                 bond = mol.bond_between(mapping[prev_q], m)
-                if bond is None or not _eval_bond(pred, bond.order, bond.in_ring):
+                if bond is None or not _eval_bond(pred, bond, mol):
                     ok = False
                     break
             if not ok:

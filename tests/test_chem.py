@@ -17,6 +17,7 @@ from fgrkit.chem import (
 )
 from fgrkit.datasets import load_bundled_corpus
 from fgrkit.elements import atomic_number
+from fgrkit.encode import compute_descriptors
 from fgrkit.errors import (
     ParseError,
     UnbalancedParenthesis,
@@ -25,6 +26,7 @@ from fgrkit.errors import (
     UnterminatedBracketAtom,
     ValenceOverflow,
 )
+from fgrkit.smarts import match_exists, parse_smarts
 
 from helpers import graph_summary, random_molecule_smiles, relabeled_copy
 from oracles import oracle_isomorphic
@@ -164,7 +166,7 @@ class TestRings:
         m = parse_smiles("c1ccc2ccccc2c1")
         cycles = perceive_rings(m)
         assert len(cycles) == m.num_bonds - m.num_atoms + 1 == 2
-        assert sum(a.in_ring for a in m.atoms) == 10
+        assert sum(bool(sizes) for sizes in m.atom_ring_sizes()) == 10
 
     def test_basis_size_formula_random(self):
         rng = random.Random(7)
@@ -177,6 +179,13 @@ class TestRings:
         m = parse_smiles("C1CC12CC2.C1CC1")
         cycles = perceive_rings(m)
         assert len(cycles) == m.num_bonds - m.num_atoms + len(m.components()) == 3
+
+    def test_perception_writes_nothing_to_the_molecule(self):
+        for smiles in ("C1CCO1", "c1ccc2ccccc2c1", "C1CC12CC2.C1CC1", "CCO"):
+            m = parse_smiles(smiles)
+            cycles = perceive_rings(m)
+            assert m == parse_smiles(smiles) and m._rings is None
+            assert m.rings() == cycles
 
 
 def _scan_bond(mol, i, j):
@@ -219,11 +228,13 @@ class TestMoleculeCaches:
 
     def test_caches_stay_out_of_repr_and_equality(self):
         a, b = parse_smiles("c1ccccc1O"), parse_smiles("c1ccccc1O")
-        a.atom_ring_sizes(), a.atoms_by_number()
-        b.atom_ring_sizes(), b.atoms_by_number()
-        b._bond_index = b._atom_ring_sizes = b._atoms_by_number = None
-        assert a == b
-        assert "_atoms_by_number" not in repr(a) and "_bond_index" not in repr(a)
+        a.rings(), a.atom_ring_sizes(), a.bond_between(0, 1), a.atoms_by_number()
+        murcko_scaffold(a), compute_descriptors(a)
+        assert match_exists(parse_smarts("c@c"), a)
+        assert a == b  # b is freshly parsed: no cache filled
+        assert all(f"_{name}" not in repr(a) for name in (
+            "adjacency", "bond_index", "rings", "atom_ring_sizes", "ring_bonds",
+            "atoms_by_number"))
 
 
 class TestScaffold:
