@@ -68,15 +68,16 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _read_smiles_column(path) -> list[str]:
-    """SMILES from a CSV with a `smiles` column, or one-per-line text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if "smiles" in [c.strip().lower() for c in first.split(",")]:
-            fh.seek(0)
+    """SMILES from a CSV with a `smiles` column, or one-per-line text. Bytes
+    that are not UTF-8 are kept as lone surrogates, so such a SMILES fails
+    to encode and is skipped."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        first = next(csv.reader(fh), [])
+        fh.seek(0)
+        if "smiles" in [c.strip().lower() for c in first]:
             reader = csv.DictReader(fh)
             key = next(k for k in reader.fieldnames if k.strip().lower() == "smiles")
             return [row[key].strip() for row in reader if row[key].strip()]
-        fh.seek(0)
         return [line.strip() for line in fh if line.strip()]
 
 
@@ -106,8 +107,9 @@ def cmd_encode(args) -> int:
         nonlocal skipped
         for smiles in _read_smiles_column(args.data):
             try:
+                smiles.encode()
                 yield parse_smiles(smiles), tokenize_smiles(smiles)
-            except FgrError:
+            except (FgrError, UnicodeEncodeError):
                 skipped += 1
 
     X, D = encode_records(parsed(), fg, mfg, length)

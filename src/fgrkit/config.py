@@ -78,8 +78,8 @@ def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     return resolve_config(raw)

@@ -70,7 +70,7 @@ class VocabError(FgrError):
 
 class MalformedLine(VocabError):
     def __init__(self, lineno: int, message: str):
-        self.lineno = lineno
+        self.lineno, self.reason = lineno, message
         super().__init__(f"line {lineno}: {message}")
 
 

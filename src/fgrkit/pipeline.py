@@ -103,18 +103,21 @@ class Dataset:
 
 def load_dataset(path, task_kind: str) -> Dataset:
     """CSV with a `smiles` column; remaining columns are tasks, empty cells
-    are missing labels. Unusable rows are dropped and counted."""
+    are missing labels. Unusable rows, non-UTF-8 ones included, are dropped
+    and counted."""
     import csv
 
     if task_kind not in (CLASSIFICATION, REGRESSION):
         raise DatasetError(f"unknown task kind {task_kind!r}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            ",".join(header).encode()
         except StopIteration:
             raise NoUsableRows("empty file") from None
-        header = [h.strip() for h in header]
+        except UnicodeEncodeError as exc:
+            raise DatasetError("the header is not valid UTF-8") from exc
         lowered = [h.lower() for h in header]
         if "smiles" not in lowered:
             raise MissingSmilesColumn(f"no `smiles` column in {header}")
@@ -126,6 +129,11 @@ def load_dataset(path, task_kind: str) -> Dataset:
         dropped: dict[str, int] = {}
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                ",".join(row).encode()
+            except UnicodeEncodeError:
+                dropped["bad_encoding"] = dropped.get("bad_encoding", 0) + 1
                 continue
             if len(row) > len(header) or len(row) <= smiles_col:
                 dropped["bad_width"] = dropped.get("bad_width", 0) + 1

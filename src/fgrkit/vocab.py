@@ -77,39 +77,41 @@ class FGVocabulary:
 def load_fg_vocab(path, skip_invalid: bool = False) -> FGVocabulary:
     """Load a `<name>\\t<SMARTS>` vocabulary file.
 
-    Comment lines (#) and blank lines are ignored. Unparseable entries fail
-    the load with their line number unless ``skip_invalid`` is set, in which
-    case they are listed in the returned vocabulary's ``rejected`` report.
+    Comment lines (#) and blank lines are ignored. Unparseable entries, and
+    lines that are not UTF-8, fail the load with their line number unless
+    ``skip_invalid`` is set, in which case they are listed in the returned
+    vocabulary's ``rejected`` report.
     """
     vocab = FGVocabulary()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            if "\t" not in line:
-                reason = "expected <name><TAB><SMARTS>"
-                if skip_invalid:
-                    vocab.rejected.append((lineno, reason))
-                    continue
-                raise MalformedLine(lineno, reason)
-            name, smarts = line.split("\t", 1)
-            name, smarts = name.strip(), smarts.strip()
-            if not name or not smarts:
-                reason = "empty name or SMARTS"
-                if skip_invalid:
-                    vocab.rejected.append((lineno, reason))
-                    continue
-                raise MalformedLine(lineno, reason)
             try:
-                pattern = parse_smarts(smarts)
-            except ParseError as exc:
-                if skip_invalid:
-                    vocab.rejected.append((lineno, str(exc)))
-                    continue
-                raise MalformedLine(lineno, str(exc)) from exc
-            vocab.entries.append(FGEntry(name=name, smarts=smarts, pattern=pattern))
+                vocab.entries.append(_fg_entry(lineno, line))
+            except MalformedLine as exc:
+                if not skip_invalid:
+                    raise
+                vocab.rejected.append((lineno, exc.reason))
     return vocab
+
+
+def _fg_entry(lineno: int, line: str) -> FGEntry:
+    """The entry on one `<name>\t<SMARTS>` line, or MalformedLine."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        raise MalformedLine(lineno, "not valid UTF-8") from exc
+    if "\t" not in line:
+        raise MalformedLine(lineno, "expected <name><TAB><SMARTS>")
+    name, smarts = (part.strip() for part in line.split("\t", 1))
+    if not name or not smarts:
+        raise MalformedLine(lineno, "empty name or SMARTS")
+    try:
+        return FGEntry(name=name, smarts=smarts, pattern=parse_smarts(smarts))
+    except ParseError as exc:
+        raise MalformedLine(lineno, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

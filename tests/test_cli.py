@@ -112,6 +112,26 @@ class TestMineVocabBadInput:
         assert "fgrkit: error: line" in err and "not valid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_encode_skips_undecodable_smiles(self, workdir, capsys):
+        data = workdir / "bad_byte.csv"
+        data.write_bytes(b"smiles,t\nCCO,1\nC\xf2C,0\nCCN,1\n")
+        assert run("--log", "json-lines", "encode", "--data", data,
+                   "--mfg", workdir / "toy.mfg", "--out", workdir / "bad_byte.bin") == 0
+        out, err = capsys.readouterr()
+        assert (json.loads(out.strip().splitlines()[-1])["skipped"], err) == (1, "")
+        data.write_bytes(b"C\xf2\n")
+        assert run("encode", "--data", data, "--mfg", workdir / "toy.mfg",
+                   "--out", workdir / "bad_byte.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fgrkit: error: ") and "Traceback" not in err
+
+    def test_train_with_undecodable_config(self, workdir, capsys):
+        config = workdir / "bad_byte.json"
+        config.write_bytes((workdir / "config.json").read_bytes()[:-1] + b', "x": "\xf2"}')
+        assert run("train", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "fgrkit: error: config is not valid UTF-8" in err and "Traceback" not in err
+
 
 class TestEncode:
     def test_binary_and_deterministic(self, workdir):
@@ -135,6 +155,15 @@ class TestEncode:
         assert (event["rows"], event["skipped"]) == (3, 1)
         X, _ = load_matrix(out)
         assert X.shape == (3, event["cols"])
+
+    @pytest.mark.parametrize("header", ["smiles,t", '"smiles","t"'], ids=["plain", "quoted"])
+    def test_csv_header_found(self, workdir, capsys, header):
+        data = workdir / "header.csv"
+        data.write_text(f"{header}\nCCO,1\nc1ccccc1,0\n")
+        assert run("--log", "json-lines", "encode", "--data", data,
+                   "--mfg", workdir / "toy.mfg", "--out", workdir / "header.bin") == 0
+        event = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (event["rows"], event["skipped"]) == (2, 0)
 
     def test_tsv_mode(self, workdir):
         out = workdir / "enc.tsv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgrkit.chem import murcko_scaffold, scaffold_key
+from fgrkit.config import load_config
 from fgrkit.datasets import (
     make_hydroxyl_dataset,
     make_regression_dataset,
@@ -11,6 +12,7 @@ from fgrkit.datasets import (
 )
 from fgrkit.errors import (
     ConfigError,
+    DatasetError,
     DegenerateTask,
     MissingSmilesColumn,
     NoUsableRows,
@@ -80,6 +82,16 @@ class TestLoadDataset:
         assert ds.report["drop_reasons"] == {"bad_width": 1}
         Y, M = ds.target_arrays()
         assert Y.tolist() == [[1.0], [0.0]] and M.tolist() == [[1], [1]]
+
+    def test_non_utf8_rows_dropped_and_counted(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"smiles,t\nCCO,1\nC\xf2C,1\nCC,0\xf2\nCCC,0\n")
+        ds = load_dataset(p, "classification")
+        assert [r.smiles for r in ds.records] == ["CCO", "CCC"]
+        assert ds.report["drop_reasons"] == {"bad_encoding": 2}
+        p.write_bytes(b"smiles,t\xf2\nCCO,1\n")
+        with pytest.raises(DatasetError, match="UTF-8"):
+            load_dataset(p, "classification")
 
     def test_multitask_blanks_become_mask(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -184,6 +196,12 @@ class TestSplits:
                 split_fn(ds, ratios)
         with pytest.raises(ConfigError, match="data.ratios"):
             train(toy_config(toy_csv) | {"data": {"path": toy_csv, "ratios": ratios}})
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_bytes(b'{"data": {"path": "d\xf2.csv"}}')
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_config(p)
 
     def test_unknown_split_method(self, toy_csv):
         ds = load_dataset(toy_csv, "classification")

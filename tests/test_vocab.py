@@ -53,6 +53,16 @@ class TestFGLoad:
         assert v.size == 2
         assert [lineno for lineno, _ in v.rejected] == [2]
 
+    def test_non_utf8_line_is_a_malformed_line(self, tmp_path):
+        p = tmp_path / "fg.tsv"
+        p.write_bytes(b"ok\t[OX2H]\nbad\tC\xf2\nalso_ok\tC=O\n")
+        with pytest.raises(MalformedLine, match="not valid UTF-8") as exc:
+            load_fg_vocab(p)
+        assert exc.value.lineno == 2
+        v = load_fg_vocab(p, skip_invalid=True)
+        assert v.names == ["ok", "also_ok"]
+        assert v.rejected == [(2, "not valid UTF-8")]
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "fg.tsv"
         p.write_text("# comment\n\nhydroxyl\t[OX2H]\n")
