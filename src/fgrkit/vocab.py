@@ -98,7 +98,7 @@ def load_fg_vocab(path, skip_invalid: bool = False) -> FGVocabulary:
 
 
 def _fg_entry(lineno: int, line: str) -> FGEntry:
-    """The entry on one `<name>\t<SMARTS>` line, or MalformedLine."""
+    """The entry on one `<name>\\t<SMARTS>` line, or MalformedLine."""
     try:
         line.encode()
     except UnicodeEncodeError as exc:

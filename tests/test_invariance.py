@@ -10,9 +10,9 @@ report other sizes after a relabeling. Ring count and membership cannot move.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from fgrkit.chem import Molecule, canonical_smiles, murcko_scaffold, parse_smiles, scaffold_key
 from fgrkit.datasets import load_bundled_corpus, starter_fg_vocab_path
@@ -25,15 +25,12 @@ from oracles import _oracle_atom_in_ring, _oracle_ring_bond
 RELABELINGS = 2
 
 
-@lru_cache(maxsize=1)
-def _cases() -> list[tuple[Molecule, list[Molecule]]]:
+@pytest.fixture(scope="module")
+def cases() -> list[tuple[Molecule, list[Molecule]]]:
     """Each bundled molecule with its seeded relabeled copies."""
     rng = random.Random(7)
-    cases = []
-    for smiles in load_bundled_corpus():
-        mol = parse_smiles(smiles)
-        cases.append((mol, [relabeled_copy(mol, rng) for _ in range(RELABELINGS)]))
-    return cases
+    return [(mol, [relabeled_copy(mol, rng) for _ in range(RELABELINGS)])
+            for mol in map(parse_smiles, load_bundled_corpus())]
 
 
 def _membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
@@ -55,31 +52,31 @@ def _membership_by_label(mol: Molecule):
                    for b, ring in zip(mol.bonds, bonds)))
 
 
-def test_ring_membership_equals_the_bridge_oracle():
-    for mol, copies in _cases():
+def test_ring_membership_equals_the_bridge_oracle(cases):
+    for mol, copies in cases:
         for m in (mol, *copies):
             atoms, bonds = _membership(m)
             assert atoms == [_oracle_atom_in_ring(m, i) for i in range(m.num_atoms)], mol.source
             assert bonds == [_oracle_ring_bond(m, b.a, b.b) for b in m.bonds], mol.source
 
 
-def test_relabeling_keeps_ring_count_and_membership():
-    for mol, copies in _cases():
+def test_relabeling_keeps_ring_count_and_membership(cases):
+    for mol, copies in cases:
         for copy in copies:
             assert len(copy.rings()) == len(mol.rings()), mol.source
             assert _membership_by_label(copy) == _membership_by_label(mol), mol.source
 
 
-def test_relabeling_keeps_canonical_smiles_and_scaffold_key():
-    for mol, copies in _cases():
+def test_relabeling_keeps_canonical_smiles_and_scaffold_key(cases):
+    for mol, copies in cases:
         for copy in copies:
             assert canonical_smiles(copy) == canonical_smiles(mol), mol.source
             assert scaffold_key(murcko_scaffold(copy)) == scaffold_key(murcko_scaffold(mol))
 
 
-def test_relabeling_keeps_the_starter_fg_bits():
+def test_relabeling_keeps_the_starter_fg_bits(cases):
     vocab = load_fg_vocab(starter_fg_vocab_path())
-    for mol, copies in _cases():
+    for mol, copies in cases:
         bits = encode_fg(mol, vocab)
         for copy in copies:
             np.testing.assert_array_equal(encode_fg(copy, vocab), bits, err_msg=mol.source)
