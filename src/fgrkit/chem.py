@@ -444,6 +444,11 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
     return mol
 
 
+def encoder_input(smiles: str) -> tuple[Molecule, list[str]]:
+    """(molecule, MFG tokens), or an FgrError: every encoder's text -> molecule step."""
+    return parse_smiles(smiles), tokenize_smiles(smiles)
+
+
 def _sigma_and_fill(mol: Molecule, idx: int) -> tuple[int, int]:
     """(sigma bond count, H-fill bond count) for one atom.
 

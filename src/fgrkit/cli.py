@@ -8,7 +8,6 @@ wall-clock timing appears only in log records on stdout/stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from itertools import chain
@@ -17,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .attribution import METHODS, aggregate_attributions, attribute_dataset, model_inputs
-from .chem import parse_smiles, tokenize_smiles
+from .chem import encoder_input
 from .config import load_config, resolve_config, validate_for_training
+from .datasets import read_smiles_table
 from .encode import (
     DESCRIPTOR_LENGTH,
     encode_records,
@@ -27,13 +27,12 @@ from .encode import (
     save_matrix_tsv,
 )
 from .errors import CheckpointError, DegenerateTask, FgrError
-from .nn import load_checkpoint, save_checkpoint
+from .nn import check_fingerprints, load_checkpoint, save_checkpoint
 from .pipeline import (
     TEST,
     TRAIN,
     VALID,
     SplitAssignment,
-    check_fingerprints,
     evaluate_state,
     load_encoded,
     make_split,
@@ -67,20 +66,6 @@ def _write_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_smiles_column(path) -> list[str]:
-    """SMILES from a CSV with a `smiles` column, or one-per-line text. Bytes
-    that are not UTF-8 are kept as lone surrogates, so such a SMILES fails
-    to encode and is skipped."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        first = next(csv.reader(fh), [])
-        fh.seek(0)
-        if "smiles" in [c.strip().lower() for c in first]:
-            reader = csv.DictReader(fh)
-            key = next(k for k in reader.fieldnames if k.strip().lower() == "smiles")
-            return [row[key].strip() for row in reader if row[key].strip()]
-        return [line.strip() for line in fh if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -101,18 +86,17 @@ def cmd_encode(args) -> int:
     mfg = load_mfg_vocab(args.mfg) if args.mfg else None
     length = DESCRIPTOR_LENGTH if args.descriptors else 0
     labels, _, fingerprints = feature_columns(fg, mfg, length)
-    skipped = 0
+    table = read_smiles_table(args.data)
+    dropped = dict(table.dropped)
 
-    def parsed():
-        nonlocal skipped
-        for smiles in _read_smiles_column(args.data):
+    def records():
+        for smiles, _ in table.rows:
             try:
-                smiles.encode()
-                yield parse_smiles(smiles), tokenize_smiles(smiles)
-            except (FgrError, UnicodeEncodeError):
-                skipped += 1
+                yield encoder_input(smiles)
+            except FgrError:
+                dropped["bad_smiles"] = dropped.get("bad_smiles", 0) + 1
 
-    X, D = encode_records(parsed(), fg, mfg, length)
+    X, D = encode_records(records(), fg, mfg, length)
     if not len(X):
         raise FgrError("no encodable molecules in input")
     if D is not None:
@@ -122,7 +106,7 @@ def cmd_encode(args) -> int:
     else:
         save_matrix(X, args.out, fingerprints)
     _emit({"event": "encoded", "rows": X.shape[0], "cols": X.shape[1],
-           "skipped": skipped}, args.log)
+           "skipped": sum(dropped.values()), "drop_reasons": dropped}, args.log)
     return 0
 
 
@@ -194,7 +178,7 @@ def _load_ckpt_with_data(ckpt_path, data_path, loaded=None):
     if loaded is None or any(loaded[0][s] != cfg[s] for s in ("data", "vocab", "model")):
         loaded = load_encoded(cfg)
     _, ds, enc = loaded
-    check_fingerprints(state, enc)
+    check_fingerprints(state.fingerprints, enc.fingerprints)
     split = SplitAssignment(np.array(list(header["split"]), dtype=np.int8))
     if len(split.assignment) != len(ds):
         raise CheckpointError(f"the checkpoint's split covers {len(split.assignment)} "
@@ -347,10 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FgrError as exc:
-        print(f"fgrkit: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (FgrError, OSError) as exc:
         print(f"fgrkit: error: {exc}", file=sys.stderr)
         return 1
 

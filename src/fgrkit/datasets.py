@@ -1,15 +1,17 @@
-"""Bundled data files and deterministic toy dataset builders."""
+"""The SMILES table reader, bundled data and deterministic toy datasets."""
 
 from __future__ import annotations
 
 import csv
 import os
 import random
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .chem import parse_smiles
 from .encode import compute_descriptors
+from .errors import DatasetError
 from .smarts import match_exists, parse_smarts
 
 _HYDROXYL = "[OX2H]"
@@ -29,6 +31,54 @@ _WITH_OH = ["O", "CO", "CCO", "C(C)O", "C(=O)O", "CC(O)C", "CCCO"]
 _WITHOUT_OH = ["F", "Cl", "Br", "OC", "N", "N(C)C", "C#N", "C(=O)OC", "CC",
                "C(F)(F)F", "S(=O)(=O)C", "[N+](=O)[O-]",
                "C=C", "CCC", "C(=O)N"]
+
+
+@dataclass
+class SmilesTable:
+    """Stripped header (None: empty file), other column names (None: no `smiles`
+    column, so one SMILES per line), and kept (SMILES, other cells) rows."""
+    header: list[str] | None
+    columns: list[str] | None
+    rows: list[tuple[str, list[str]]]
+    dropped: dict[str, int]
+
+
+def read_smiles_table(path) -> SmilesTable:
+    """A CSV whose header names a `smiles` column (in any case), else a file
+    of one SMILES per line. Cells are stripped and blank rows skipped; a row
+    that is not UTF-8 is dropped as ``bad_encoding``, and a CSV row wider
+    than the header or too short to hold the SMILES cell as ``bad_width``.
+    A CSV that the csv module cannot split raises DatasetError."""
+    rows, dropped = [], {}
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            header = None if header is None else [h.strip() for h in header]
+            lowered = [h.lower() for h in header or []]
+            if "smiles" in lowered:
+                col, width = lowered.index("smiles"), len(header)
+                columns = header[:col] + header[col + 1:]
+            else:
+                fh.seek(0)
+                reader = ([line] for line in fh)
+                col, width, columns = 0, 1, None
+            for row in reader:
+                row = [cell.strip() for cell in row]
+                if not any(row):
+                    continue
+                try:
+                    "".join(row).encode()
+                    reason = None if col < len(row) <= width else "bad_width"
+                except UnicodeEncodeError:
+                    reason = "bad_encoding"
+                if reason:
+                    dropped[reason] = dropped.get(reason, 0) + 1
+                else:
+                    rows.append((row[col], row[:col] + row[col + 1:]))
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: {exc}") from None
+    return SmilesTable(header, columns, rows, dropped)
 
 
 def starter_fg_vocab_path() -> Path:
@@ -124,15 +174,17 @@ def find_esol_csv() -> Path | None:
 
 
 def load_esol_rows(path) -> list[tuple[str, float]]:
-    """Read ESOL either as plain (smiles,target) or the deepchem export."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        measured = next((f for f in fields if "measured log solubility" in f), None)
-        rows = []
-        for record in reader:
-            smiles = record.get("smiles") or record.get("SMILES")
-            value = record[measured] if measured else record.get("target")
-            if smiles and value not in (None, ""):
-                rows.append((smiles.strip(), float(value)))
+    """Read ESOL as plain (smiles,target) or the deepchem export (measured
+    column); rows with an empty SMILES or a non-numeric target are skipped."""
+    table = read_smiles_table(path)
+    names = table.columns or []
+    target = next((i for i, name in enumerate(names) if "measured log solubility" in name),
+                  names.index("target") if "target" in names else len(names))
+    rows = []
+    for smiles, cells in table.rows:
+        try:
+            if smiles and target < len(cells):
+                rows.append((smiles, float(cells[target])))
+        except ValueError:
+            continue
     return rows

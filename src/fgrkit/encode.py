@@ -266,7 +266,7 @@ def load_matrix(path) -> tuple[np.ndarray, dict]:
             header = json.loads(fh.readline().decode())
             rows, cols = int(header["rows"]), int(header["cols"])
             dtype = np.dtype(header["dtype"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, SyntaxError) as exc:
             raise VersionMismatch(f"malformed fgr-matrix header: {exc!r}") from None
         payload = fh.read()
     if dtype.kind not in "biuf" or min(rows, cols) < 0 \

@@ -419,6 +419,13 @@ def _header_problem(header: dict, hyper: ModelHyper) -> str | None:
     return None
 
 
+def check_fingerprints(stored: dict, expected: dict) -> None:
+    """Refuse a stored fingerprint that differs from the expected one."""
+    for key, want in expected.items():
+        if stored.get(key) not in (None, want):
+            raise VocabMismatch(f"{key!r} fingerprint mismatch: trained on other {key}")
+
+
 def load_checkpoint(path, expected_fingerprints: dict | None = None
                     ) -> tuple[ModelState, dict]:
     """Load a checkpoint; refuses vocab fingerprint mismatches. Another version,
@@ -441,11 +448,7 @@ def load_checkpoint(path, expected_fingerprints: dict | None = None
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
         if problem:
             raise CheckpointError(f"malformed checkpoint header: {problem}")
-        if expected_fingerprints:
-            for key, want in expected_fingerprints.items():
-                if key in stored and stored[key] != want:
-                    raise VocabMismatch(
-                        f"checkpoint was trained against a different {key} vocabulary")
+        check_fingerprints(stored, expected_fingerprints or {})
         payload = fh.read()
     p, k, l = header["p"], header["k"], hyper.l
     want = ([("W_e", (l, p)), ("b_e", (l,))] + ([] if hyper.tied else [("W_d", (p, l))])

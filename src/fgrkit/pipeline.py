@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .chem import Molecule, murcko_scaffold, parse_smiles, scaffold_key, tokenize_smiles
+from .chem import Molecule, encoder_input, murcko_scaffold, scaffold_key
 from .config import check_ratios, resolve_config, validate_for_training
-from .datasets import starter_fg_vocab_path
+from .datasets import read_smiles_table, starter_fg_vocab_path
 from .encode import encode_records, feature_columns
 from .errors import (
     ConfigError,
@@ -30,7 +30,6 @@ from .errors import (
     MissingSmilesColumn,
     NonFiniteGradient,
     NoUsableRows,
-    VocabMismatch,
 )
 from .metrics import mae, r_squared, rmse, roc_auc
 from .nn import (
@@ -103,74 +102,38 @@ class Dataset:
 
 def load_dataset(path, task_kind: str) -> Dataset:
     """CSV with a `smiles` column; remaining columns are tasks, empty cells
-    are missing labels. Unusable rows, non-UTF-8 ones included, are dropped
-    and counted."""
-    import csv
-
+    are missing labels. Rows that `read_smiles_table` drops, and rows with a
+    non-numeric label or an unparseable SMILES, are dropped and counted."""
     if task_kind not in (CLASSIFICATION, REGRESSION):
         raise DatasetError(f"unknown task kind {task_kind!r}")
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    table = read_smiles_table(path)
+    if table.header is None:
+        raise NoUsableRows("empty file")
+    try:
+        ",".join(table.header).encode()
+    except UnicodeEncodeError as exc:
+        raise DatasetError("the header is not valid UTF-8") from exc
+    if table.columns is None:
+        raise MissingSmilesColumn(f"no `smiles` column in {table.header}")
+    if not table.columns:
+        raise DatasetError("no task columns")
+    records: list[DataRecord] = []
+    dropped = dict(table.dropped)
+    for smiles, cells in table.rows:
         try:
-            header = [h.strip() for h in next(reader)]
-            ",".join(header).encode()
-        except StopIteration:
-            raise NoUsableRows("empty file") from None
-        except UnicodeEncodeError as exc:
-            raise DatasetError("the header is not valid UTF-8") from exc
-        lowered = [h.lower() for h in header]
-        if "smiles" not in lowered:
-            raise MissingSmilesColumn(f"no `smiles` column in {header}")
-        smiles_col = lowered.index("smiles")
-        task_names = [h for i, h in enumerate(header) if i != smiles_col]
-        if not task_names:
-            raise DatasetError("no task columns")
-        records: list[DataRecord] = []
-        dropped: dict[str, int] = {}
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                ",".join(row).encode()
-            except UnicodeEncodeError:
-                dropped["bad_encoding"] = dropped.get("bad_encoding", 0) + 1
-                continue
-            if len(row) > len(header) or len(row) <= smiles_col:
-                dropped["bad_width"] = dropped.get("bad_width", 0) + 1
-                continue
-            smiles = row[smiles_col].strip()
-            targets: list[float | None] = []
-            bad_cell = False
-            for i, cell in enumerate(row):
-                if i == smiles_col:
-                    continue
-                cell = cell.strip()
-                if not cell:
-                    targets.append(None)
-                    continue
-                try:
-                    targets.append(float(cell))
-                except ValueError:
-                    bad_cell = True
-                    break
-            if bad_cell:
-                dropped["bad_label"] = dropped.get("bad_label", 0) + 1
-                continue
-            targets += [None] * (len(task_names) - len(targets))
-            try:
-                mol = parse_smiles(smiles)
-                tokens = tokenize_smiles(smiles)
-            except FgrError:
-                dropped["bad_smiles"] = dropped.get("bad_smiles", 0) + 1
-                continue
-            records.append(DataRecord(smiles=smiles, mol=mol, tokens=tokens,
-                                      targets=targets))
+            targets = [float(cell) if cell else None for cell in cells]
+            mol, tokens = encoder_input(smiles)
+        except (ValueError, FgrError) as exc:
+            reason = "bad_label" if isinstance(exc, ValueError) else "bad_smiles"
+            dropped[reason] = dropped.get(reason, 0) + 1
+            continue
+        targets += [None] * (len(table.columns) - len(targets))
+        records.append(DataRecord(smiles=smiles, mol=mol, tokens=tokens, targets=targets))
     if not records:
         raise NoUsableRows(f"no usable rows in {path}")
-    report = {"rows_kept": len(records),
-              "rows_dropped": sum(dropped.values()),
+    report = {"rows_kept": len(records), "rows_dropped": sum(dropped.values()),
               "drop_reasons": dropped}
-    return Dataset(records=records, task_names=task_names, task_kind=task_kind,
+    return Dataset(records=records, task_names=table.columns, task_kind=task_kind,
                    report=report)
 
 
@@ -338,13 +301,6 @@ def evaluate_state(state: ModelState, enc: EncodedDataset, indices: list[int],
     Yhat = predict_head(Z, D, state)
     return compute_metrics(Yhat, enc.Y[indices], enc.M[indices], task_names,
                            state.hyper.task, split=split, seed=seed)
-
-
-def check_fingerprints(state: ModelState, enc: EncodedDataset) -> None:
-    for key, want in enc.fingerprints.items():
-        have = state.fingerprints.get(key)
-        if have is not None and have != want:
-            raise VocabMismatch(f"{key!r} fingerprint mismatch: trained on other {key}")
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,10 @@ def mine_mfg(corpus: Iterable[str], eta: int, mvs: int) -> MFGVocabulary:
     corpora want a much smaller eta. The corpus is read once, as a stream.
     Lines that do not tokenize, or cannot be encoded as UTF-8 (read_corpus
     keeps undecodable bytes as lone surrogates), are skipped and counted in
-    ``skipped_lines``. Deterministic given corpus order: ties
-    break on the lexicographically smallest (left, right) token pair.
+    ``skipped_lines``. Mining tokenizes only: it mines lines such as ``C1CC``
+    that the encoders (``chem.encoder_input``) drop as ``bad_smiles``.
+    Deterministic given corpus order: ties break on the lexicographically
+    smallest (left, right) token pair.
     """
     if eta <= 0 or mvs <= 0:
         raise ConfigError(f"eta and mvs must be positive, got eta={eta} mvs={mvs}")

@@ -103,3 +103,12 @@ def random_model_case(seed: int):
         M[0, 0] = 1.0
     D = rng.normal(0, 1, (n, d)) if use_d else None
     return state, Batch(X=X, Y=Y, M=M, D=D)
+
+
+# One CSV row of each kind the dataset readers drop, between the kept rows
+# CCO and CCC: blank, too short to hold the SMILES cell, wider than the
+# header, not UTF-8, an unparseable SMILES, an empty SMILES cell and a
+# non-numeric label (CCN, which `fgrkit encode` keeps: it reads no labels).
+MIXED_ROWS_CSV = (b"t,smiles\n1,CCO\n\n0\n1,CC,2\n0,C\xf2C\n1,C1CC\n1,\n"
+                  b"x,CCN\n0,CCC\n")
+MIXED_ROWS_DROPS = {"bad_width": 2, "bad_encoding": 1, "bad_smiles": 2, "bad_label": 1}

@@ -1,11 +1,14 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from fgrkit.cli import main
 from fgrkit.datasets import make_hydroxyl_dataset, write_dataset_csv
 from fgrkit.nn import ModelHyper, init_model, save_checkpoint
+
+from helpers import MIXED_ROWS_CSV
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +85,7 @@ class TestMineVocabBadInput:
     """Each case exits 1 with a one-line error and no traceback."""
 
     @pytest.mark.parametrize("case", ["only-bad-bytes", "truncated-gz", "not-gzip",
-                                      "eta-zero", "mvs-negative"])
+                                      "eta-zero", "mvs-negative", "directory"])
     def test_exits_cleanly(self, workdir, capsys, case):
         import gzip
         path = workdir / f"{case}.smi"
@@ -95,6 +98,8 @@ class TestMineVocabBadInput:
         elif case == "not-gzip":
             path = workdir / f"{case}.smi.gz"
             path.write_bytes(b"CCO\nCCN\n")
+        elif case == "directory":
+            path = workdir
         else:
             path.write_text("CCO\nCCN\n")
             eta, mvs = (0, 100) if case == "eta-zero" else (2, -5)
@@ -156,14 +161,31 @@ class TestEncode:
         X, _ = load_matrix(out)
         assert X.shape == (3, event["cols"])
 
-    @pytest.mark.parametrize("header", ["smiles,t", '"smiles","t"'], ids=["plain", "quoted"])
-    def test_csv_header_found(self, workdir, capsys, header):
-        data = workdir / "header.csv"
-        data.write_text(f"{header}\nCCO,1\nc1ccccc1,0\n")
-        assert run("--log", "json-lines", "encode", "--data", data,
-                   "--mfg", workdir / "toy.mfg", "--out", workdir / "header.bin") == 0
+    @pytest.mark.parametrize("text, encoded, unlabelled", [
+        (b"smiles,t\nCCO,1\nc1ccccc1,0\n", ["CCO", "c1ccccc1"], []),
+        (b'"smiles","t"\nCCO,1\nc1ccccc1,0\n', ["CCO", "c1ccccc1"], []),
+        (MIXED_ROWS_CSV, ["CCO", "CCN", "CCC"], ["CCN"]),
+    ], ids=["plain", "quoted", "mixed"])
+    def test_csv_header_found(self, workdir, capsys, text, encoded, unlabelled):
+        """encode keeps the rows load_dataset keeps, in order, with the same
+        drop reasons; it reads no labels, so it also keeps a bad-label row."""
+        from fgrkit.chem import parse_smiles, tokenize_smiles
+        from fgrkit.encode import DESCRIPTOR_LENGTH, encode_records, load_matrix
+        from fgrkit.pipeline import load_dataset
+        from fgrkit.vocab import load_mfg_vocab
+        data, out = workdir / "header.csv", workdir / "header.bin"
+        data.write_bytes(text)
+        assert run("--log", "json-lines", "encode", "--data", data, "--descriptors",
+                   "--mfg", workdir / "toy.mfg", "--out", out) == 0
         event = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert (event["rows"], event["skipped"]) == (2, 0)
+        ds = load_dataset(data, "classification")
+        reasons = {k: n for k, n in ds.report["drop_reasons"].items() if k != "bad_label"}
+        assert (event["drop_reasons"], event["skipped"]) == (reasons, sum(reasons.values()))
+        assert [s for s in encoded if s not in unlabelled] == [r.smiles for r in ds.records]
+        records = ((parse_smiles(s), tokenize_smiles(s)) for s in encoded)
+        X, D = encode_records(records, None, load_mfg_vocab(workdir / "toy.mfg"),
+                              DESCRIPTOR_LENGTH)
+        assert np.array_equal(load_matrix(out)[0], np.hstack([X, D]))
 
     def test_tsv_mode(self, workdir):
         out = workdir / "enc.tsv"

@@ -340,6 +340,11 @@ class TestMatrixExport:
         with pytest.raises(VersionMismatch):
             load_matrix(saved)
 
+    def test_unparseable_dtype(self, saved):
+        saved.write_bytes(saved.read_bytes().replace(b'"float64"', b'",float64"', 1))
+        with pytest.raises(VersionMismatch):
+            load_matrix(saved)
+
     def test_tsv_mode(self, tmp_path):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = tmp_path / "m.tsv"

@@ -34,6 +34,7 @@ from fgrkit.pipeline import (
     train,
 )
 
+from helpers import MIXED_ROWS_CSV, MIXED_ROWS_DROPS
 from oracles import oracle_mae, oracle_r2, oracle_rmse, oracle_roc_auc
 
 
@@ -70,16 +71,17 @@ class TestLoadDataset:
         assert ds.report["rows_dropped"] == 1
         assert ds.report["drop_reasons"]["bad_smiles"] == 1
 
-    @pytest.mark.parametrize("text", [
-        "smiles,t\nCCO,1\nCC,1,2\nCCC,0\n",  # more cells than the header
-        "t,smiles\n1,CCO\n0\n0,CCC\n",  # too short to hold the SMILES cell
-    ], ids=["too-wide", "no-smiles-cell"])
-    def test_bad_width_rows_dropped_and_counted(self, tmp_path, text):
+    @pytest.mark.parametrize("data, reasons", [
+        (b"smiles,t\nCCO,1\nCC,1,2\nCCC,0\n", {"bad_width": 1}),  # more cells than the header
+        (b"t,smiles\n1,CCO\n0\n0,CCC\n", {"bad_width": 1}),  # too short to hold the SMILES cell
+        (MIXED_ROWS_CSV, MIXED_ROWS_DROPS),  # the same file as TestEncode's "mixed"
+    ], ids=["too-wide", "no-smiles-cell", "mixed"])
+    def test_bad_width_rows_dropped_and_counted(self, tmp_path, data, reasons):
         p = tmp_path / "d.csv"
-        p.write_text(text)
+        p.write_bytes(data)
         ds = load_dataset(p, "classification")
         assert [r.smiles for r in ds.records] == ["CCO", "CCC"]
-        assert ds.report["drop_reasons"] == {"bad_width": 1}
+        assert ds.report["drop_reasons"] == reasons
         Y, M = ds.target_arrays()
         assert Y.tolist() == [[1.0], [0.0]] and M.tolist() == [[1], [1]]
 
@@ -289,11 +291,11 @@ class TestTraining:
         assert test_report.macro["rmse"] < 1.0
 
     def test_vocab_mismatch_refused(self, toy_csv):
-        from fgrkit.pipeline import check_fingerprints
+        from fgrkit.nn import check_fingerprints
         res = train(toy_config(toy_csv, epochs=1))
         res.state.fingerprints = {"fg": "bogus"}
         with pytest.raises(VocabMismatch):
-            check_fingerprints(res.state, res.enc)
+            check_fingerprints(res.state.fingerprints, res.enc.fingerprints)
 
     def test_divergence_aborts_with_diagnostics(self, toy_csv, capsys):
         from fgrkit.errors import NonFiniteGradient
@@ -329,6 +331,16 @@ class TestEsolLoader:
         from fgrkit.datasets import load_esol_rows
         p = tmp_path / "esol.csv"
         p.write_text("smiles,target\nCCO,-0.3\nc1ccccc1,-2.1\n")
+        assert load_esol_rows(p) == [("CCO", -0.3), ("c1ccccc1", -2.1)]
+
+    @pytest.mark.parametrize("row", [
+        b"CC,-1.0,2", b",-1.0", b"CC,", b"CC,high", b"C\xf2C,-1.0", b"CC,-1.\xf2"],
+        ids=["too-wide", "empty-smiles", "empty-target", "non-numeric-target",
+             "non-utf8-smiles", "non-utf8-target"])
+    def test_unusable_rows_skipped(self, tmp_path, row):
+        from fgrkit.datasets import load_esol_rows
+        p = tmp_path / "esol.csv"
+        p.write_bytes(b"smiles,target\nCCO,-0.3\n" + row + b"\nc1ccccc1,-2.1\n")
         assert load_esol_rows(p) == [("CCO", -0.3), ("c1ccccc1", -2.1)]
 
     def test_high_ring_closure_digits_parse(self):
