@@ -4,18 +4,19 @@ The grammar subset is: organic-subset atoms (B C N O P S F Cl Br I and the
 aromatic forms b c n o p s), bracket atoms with isotope / explicit H /
 charge / atom class, ring closures 1-9 and %nn, branches, bond symbols
 ``- = # : / \\``, and dot-disconnected components. Stereo markers and
-isotopes are consumed and recorded but ignored downstream. Aromaticity is
-taken from the input (lowercase symbols); no perception or kekulization.
+isotopes are consumed and ignored. Aromaticity is taken from the input
+(lowercase symbols); no perception or kekulization. Digits are ASCII.
 
-Implicit hydrogens follow a fixed valence table (see ``elements``); an
-aromatic atom's available valence is reduced by one per aromatic bond pair.
-Inputs whose sigma-bond count exceeds the table valence raise
-``ValenceOverflow`` rather than being silently patched.
+Implicit hydrogens follow one rule, ``_hydrogen_fill``, over a fixed valence
+table (see ``elements``); an aromatic atom's available valence is reduced by
+one per aromatic bond pair. Inputs whose sigma-bond count exceeds the table
+valence raise ``ValenceOverflow`` rather than being silently patched.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .elements import (
@@ -42,14 +43,12 @@ DOUBLE = "double"
 TRIPLE = "triple"
 AROMATIC = "aromatic"
 
-BOND_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1.5}
+# Valence used by a non-aromatic bond; aromatic bonds are counted apart
+# (see ``_hydrogen_fill``).
+_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
 _BOND_FROM_CHAR = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                    "/": SINGLE, "\\": SINGLE}
 _CHAR_FROM_BOND = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
-
-# Two-letter organic-subset symbols must be matched before one-letter ones.
-_ORGANIC_TOKENS = ("Cl", "Br", "B", "C", "N", "O", "P", "S", "F", "I",
-                   "b", "c", "n", "o", "p", "s", "*")
 
 
 @dataclass
@@ -87,12 +86,17 @@ class Bond:
 
 @dataclass
 class Molecule:
-    """Attributed graph parsed from SMILES; the unit all matching works on."""
+    """Attributed graph parsed from SMILES; the unit all matching works on.
+
+    ``tokens`` is the lossless token list of ``source`` from the parse's own
+    scan (what ``tokenize_smiles`` returns); it is empty for built graphs
+    such as scaffolds, and equality ignores it.
+    """
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     source: str = ""
-    stereo_markers: list[tuple[int, str]] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list, compare=False, repr=False)
     _adjacency: list[list[tuple[int, int]]] | None = field(default=None, compare=False, repr=False)
     _bond_index: dict[tuple, int] | None = field(default=None, compare=False, repr=False)
     _rings: list[list[int]] | None = field(default=None, compare=False, repr=False)
@@ -191,55 +195,28 @@ class Molecule:
 # scanning / tokenizing
 # ---------------------------------------------------------------------------
 
-_KIND_ATOM = "atom"
-_KIND_BRACKET = "bracket"
-_KIND_BOND = "bond"
-_KIND_OPEN = "open"
-_KIND_CLOSE = "close"
-_KIND_RING = "ring"
-_KIND_DOT = "dot"
+# One named group per token kind, tried in order (so ``Cl``/``Br`` before the
+# one-letter symbols); ``bad`` takes any other character so the scan can name
+# its error. Digits are ASCII only, as in OpenSMILES.
+_TOKEN = re.compile(
+    r"(?P<bracket>\[[^\]]*\])|(?P<ring>%[0-9][0-9]|[0-9])|(?P<bond>[-=#:/\\])"
+    r"|(?P<open>\()|(?P<close>\))|(?P<dot>\.)|(?P<atom>Cl|Br|[BCNOPSFIbcnops*])"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _scan(text: str) -> list[tuple[str, str, int]]:
     """Lossless scan into (kind, token, offset) triples."""
     out: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
+    for m in _TOKEN.finditer(text):
+        kind, i = m.lastgroup, m.start()
+        if kind == "bad":
+            ch = text[i]
+            if ch == "[":
                 raise UnterminatedBracketAtom("unterminated bracket atom", i, text)
-            out.append((_KIND_BRACKET, text[i:j + 1], i))
-            i = j + 1
-        elif ch == "%":
-            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+            if ch == "%":
                 raise UnbalancedRingClosure("malformed %nn ring closure", i, text)
-            out.append((_KIND_RING, text[i:i + 3], i))
-            i += 3
-        elif ch.isdigit():
-            out.append((_KIND_RING, ch, i))
-            i += 1
-        elif ch in "-=#:/\\":
-            out.append((_KIND_BOND, ch, i))
-            i += 1
-        elif ch == "(":
-            out.append((_KIND_OPEN, ch, i))
-            i += 1
-        elif ch == ")":
-            out.append((_KIND_CLOSE, ch, i))
-            i += 1
-        elif ch == ".":
-            out.append((_KIND_DOT, ch, i))
-            i += 1
-        else:
-            for sym in _ORGANIC_TOKENS:
-                if text.startswith(sym, i):
-                    out.append((_KIND_ATOM, sym, i))
-                    i += len(sym)
-                    break
-            else:
-                raise UnknownAtomSymbol(f"unrecognized character {ch!r}", i, text)
+            raise UnknownAtomSymbol(f"unrecognized character {ch!r}", i, text)
+        out.append((kind, m.group(), i))
     return out
 
 
@@ -257,16 +234,16 @@ def tokenize_smiles(text: str) -> list[str]:
 # bracket atom parsing
 # ---------------------------------------------------------------------------
 
-def _parse_bracket(token: str, offset: int, text: str) -> tuple[Atom, list[tuple[int, str]]]:
-    """Parse one ``[...]`` token into an Atom plus stereo records."""
+_DIGITS = re.compile("[0-9]*")
+
+
+def _parse_bracket(token: str, offset: int, text: str) -> Atom:
+    """Parse one ``[...]`` token into an Atom."""
     body = token[1:-1]
     if not body:
         raise UnknownAtomSymbol("empty bracket atom", offset, text)
-    i = 0
-    stereo: list[tuple[int, str]] = []
     # isotope: parsed and discarded (Atom carries no isotope field)
-    while i < len(body) and body[i].isdigit():
-        i += 1
+    i = _DIGITS.match(body).end()
     if i >= len(body):
         raise UnknownAtomSymbol("bracket atom without element", offset, text)
     # element symbol
@@ -290,32 +267,25 @@ def _parse_bracket(token: str, offset: int, text: str) -> tuple[Atom, list[tuple
             i += 1
         if element not in ATOMIC_NUMBERS:
             raise UnknownAtomSymbol(f"unknown element {element!r}", offset, text)
-    # chirality: consumed, recorded, ignored downstream
+    # chirality: consumed and ignored
     while i < len(body) and body[i] == "@":
-        mark = "@@" if body[i:i + 2] == "@@" else "@"
-        stereo.append((offset + 1 + i, mark))
-        i += len(mark)
+        i += 1
     # explicit hydrogen count
     hcount = 0
     if i < len(body) and body[i] == "H":
-        i += 1
-        num = ""
-        while i < len(body) and body[i].isdigit():
-            num += body[i]
-            i += 1
-        hcount = int(num) if num else 1
+        j = _DIGITS.match(body, i + 1).end()
+        hcount = int(body[i + 1:j] or 1)
+        i = j
     # formal charge
     charge = 0
     if i < len(body) and body[i] in "+-":
         sign = 1 if body[i] == "+" else -1
         symbol = body[i]
         i += 1
-        num = ""
-        while i < len(body) and body[i].isdigit():
-            num += body[i]
-            i += 1
-        if num:
-            charge = sign * int(num)
+        j = _DIGITS.match(body, i).end()
+        if j > i:
+            charge = sign * int(body[i:j])
+            i = j
         else:
             charge = sign
             while i < len(body) and body[i] == symbol:
@@ -323,16 +293,14 @@ def _parse_bracket(token: str, offset: int, text: str) -> tuple[Atom, list[tuple
                 i += 1
     # atom class: parsed and discarded
     if i < len(body) and body[i] == ":":
-        i += 1
-        if i >= len(body) or not body[i].isdigit():
+        j = _DIGITS.match(body, i + 1).end()
+        if j == i + 1:
             raise UnknownAtomSymbol("malformed atom class", offset, text)
-        while i < len(body) and body[i].isdigit():
-            i += 1
+        i = j
     if i != len(body):
         raise UnknownAtomSymbol(f"trailing bracket content {body[i:]!r}", offset, text)
-    atom = Atom(element=element, aromatic=aromatic, formal_charge=charge,
+    return Atom(element=element, aromatic=aromatic, formal_charge=charge,
                 explicit_h=hcount, from_bracket=True)
-    return atom, stereo
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +308,8 @@ def _parse_bracket(token: str, offset: int, text: str) -> tuple[Atom, list[tuple
 # ---------------------------------------------------------------------------
 
 def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
-    """Parse a SMILES string into a Molecule with implicit hydrogens assigned.
+    """Parse a SMILES string into a Molecule with implicit hydrogens assigned
+    and ``tokens`` kept from the one scan of the text.
 
     Raises UnbalancedRingClosure, UnbalancedParenthesis, UnknownAtomSymbol,
     ValenceOverflow or UnterminatedBracketAtom, each carrying the 0-based
@@ -351,7 +320,9 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
     if len(text) > max_length:
         raise ParseError(f"SMILES longer than {max_length} characters", max_length, text)
 
-    mol = Molecule(source=text)
+    scanned = _scan(text)
+    mol = Molecule(source=text, tokens=[tok for _, tok, _ in scanned])
+    atom_offsets: list[int] = []
     anchor: int | None = None
     pending_bond: str | None = None
     pending_offset = 0
@@ -371,11 +342,10 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
         bond_pairs.add(pair)
         mol.bonds.append(Bond(a=i, b=j, order=order))
 
-    for kind, token, offset in _scan(text):
-        if kind in (_KIND_ATOM, _KIND_BRACKET):
-            if kind == _KIND_BRACKET:
-                atom, stereo = _parse_bracket(token, offset, text)
-                mol.stereo_markers.extend(stereo)
+    for kind, token, offset in scanned:
+        if kind == "atom" or kind == "bracket":
+            if kind == "bracket":
+                atom = _parse_bracket(token, offset, text)
             else:
                 if token == "*":
                     atom = Atom(element="*")
@@ -387,6 +357,7 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
                     atom = Atom(element=element, aromatic=token.islower())
             atom.index = len(mol.atoms)
             mol.atoms.append(atom)
+            atom_offsets.append(offset)
             if anchor is not None:
                 add_bond(anchor, atom.index, pending_bond, offset)
             elif pending_bond is not None:
@@ -394,14 +365,12 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
                                  pending_offset, text)
             pending_bond = None
             anchor = atom.index
-        elif kind == _KIND_BOND:
+        elif kind == "bond":
             if pending_bond is not None:
                 raise ParseError("two consecutive bond symbols", offset, text)
-            if token in "/\\":
-                mol.stereo_markers.append((offset, token))
             pending_bond = _BOND_FROM_CHAR[token]
             pending_offset = offset
-        elif kind == _KIND_RING:
+        elif kind == "ring":
             if anchor is None:
                 raise UnbalancedRingClosure("ring closure before any atom", offset, text)
             if token in open_rings:
@@ -415,19 +384,19 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
             else:
                 open_rings[token] = (anchor, pending_bond, offset)
                 pending_bond = None
-        elif kind == _KIND_OPEN:
+        elif kind == "open":
             if anchor is None:
                 raise UnbalancedParenthesis("branch before any atom", offset, text)
             if pending_bond is not None:
                 raise ParseError("bond symbol before branch open", offset, text)
             branch_stack.append(anchor)
-        elif kind == _KIND_CLOSE:
+        elif kind == "close":
             if not branch_stack:
                 raise UnbalancedParenthesis("unmatched ')'", offset, text)
             if pending_bond is not None:
                 raise ParseError("dangling bond before ')'", offset, text)
             anchor = branch_stack.pop()
-        elif kind == _KIND_DOT:
+        elif kind == "dot":
             if pending_bond is not None:
                 raise ParseError("bond symbol before '.'", pending_offset, text)
             anchor = None
@@ -440,87 +409,67 @@ def parse_smiles(text: str, max_length: int = MAX_SMILES_LENGTH) -> Molecule:
     if pending_bond is not None:
         raise ParseError("dangling bond at end of input", pending_offset, text)
 
-    _assign_implicit_hydrogens(mol, text)
-    return mol
-
-
-def encoder_input(smiles: str) -> tuple[Molecule, list[str]]:
-    """(molecule, MFG tokens), or an FgrError: every encoder's text -> molecule step."""
-    return parse_smiles(smiles), tokenize_smiles(smiles)
-
-
-def _sigma_and_fill(mol: Molecule, idx: int) -> tuple[int, int]:
-    """(sigma bond count, H-fill bond count) for one atom.
-
-    Sigma counts aromatic bonds as 1 and is checked against the largest
-    table valence. The fill count charges an extra valence per aromatic
-    bond pair and is subtracted from the smallest table valence.
-    """
-    n_arom = 0
-    others = 0
-    for _, bi in mol.adjacency()[idx]:
-        order = mol.bonds[bi].order
-        if order == AROMATIC:
-            n_arom += 1
-        else:
-            others += int(BOND_ORDER_VALUE[order])
-    sigma = n_arom + others
-    fill = n_arom + n_arom // 2 + others
-    return sigma, fill
-
-
-def _default_implicit_h(atom: Atom, fill: int) -> int | None:
-    """Implicit H count of an organic-subset atom with H-fill count `fill`.
-
-    Aromatic atoms take the smallest table valence, others the smallest one
-    that fits; None when no table valence fits a non-aromatic atom.
-    """
-    valences = STANDARD_VALENCES[atom.element]
-    if atom.aromatic:
-        return max(0, min(valences) - fill)
-    chosen = next((v for v in valences if v >= fill), None)
-    return None if chosen is None else chosen - fill
-
-
-def _assign_implicit_hydrogens(mol: Molecule, text: str) -> None:
-    for atom in mol.atoms:
+    for atom, (n_arom, others), offset in zip(mol.atoms, _bond_sums(mol), atom_offsets):
         valences = STANDARD_VALENCES.get(atom.element)
-        sigma, fill = _sigma_and_fill(mol, atom.index)
+        sigma = n_arom + others
         if atom.from_bracket or atom.element == "*":
-            atom.implicit_h = 0
             if (valences is not None and atom.formal_charge == 0
                     and sigma + atom.explicit_h > max(valences)):
                 raise ValenceOverflow(
                     f"{atom.element} with {sigma} bonds + {atom.explicit_h}H "
-                    f"exceeds valence {max(valences)}", _atom_offset(atom, mol), text)
+                    f"exceeds valence {max(valences)}", offset, text)
             continue
         assert valences is not None  # organic subset is always in the table
         if sigma > max(valences):
             raise ValenceOverflow(
                 f"{atom.element} with bond order sum {sigma} exceeds valence "
-                f"{max(valences)}", _atom_offset(atom, mol), text)
-        implicit_h = _default_implicit_h(atom, fill)
+                f"{max(valences)}", offset, text)
+        fill, implicit_h = _hydrogen_fill(atom, n_arom, others)
         if implicit_h is None:
             # fill can exceed sigma only via explicit aromatic bonds on an
             # uppercase atom; surface that as an overflow, never a crash
             raise ValenceOverflow(
                 f"{atom.element} with effective bond order {fill} exceeds "
-                f"valence {max(valences)}", _atom_offset(atom, mol), text)
+                f"valence {max(valences)}", offset, text)
         atom.implicit_h = implicit_h
+    return mol
 
 
-def _atom_offset(atom: Atom, mol: Molecule) -> int:
-    """Best-effort offset of an atom in the source text (token re-scan)."""
-    try:
-        count = -1
-        for kind, _tok, off in _scan(mol.source):
-            if kind in (_KIND_ATOM, _KIND_BRACKET):
-                count += 1
-                if count == atom.index:
-                    return off
-    except ParseError:
-        pass
-    return 0
+def encoder_input(smiles: str) -> tuple[Molecule, list[str]]:
+    """(molecule, MFG tokens), or an FgrError: every encoder's text -> molecule step."""
+    mol = parse_smiles(smiles)
+    return mol, mol.tokens
+
+
+def _bond_sums(mol: Molecule) -> list[list[int]]:
+    """Per atom, [aromatic bond count, summed order of its other bonds]."""
+    sums = [[0, 0] for _ in mol.atoms]
+    for bond in mol.bonds:
+        if bond.order == AROMATIC:
+            sums[bond.a][0] += 1
+            sums[bond.b][0] += 1
+        else:
+            value = _ORDER_VALUE[bond.order]
+            sums[bond.a][1] += value
+            sums[bond.b][1] += value
+    return sums
+
+
+def _hydrogen_fill(atom: Atom, n_arom: int, others: int) -> tuple[int, int | None]:
+    """The implicit-hydrogen rule for an organic-subset atom with ``n_arom``
+    aromatic bonds and other bonds of summed order ``others``: (H-fill bond
+    count, implicit H count).
+
+    The fill count charges an extra valence per aromatic bond pair. Aromatic
+    atoms take the smallest table valence, others the smallest one that
+    fits; the H count is None when no table valence fits a non-aromatic atom.
+    """
+    fill = n_arom + n_arom // 2 + others
+    valences = STANDARD_VALENCES[atom.element]
+    if atom.aromatic:
+        return fill, max(0, min(valences) - fill)
+    chosen = next((v for v in valences if v >= fill), None)
+    return fill, None if chosen is None else chosen - fill
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +566,9 @@ def _induced_subgraph(mol: Molecule, keep: list[int]) -> Molecule:
     for bond in mol.bonds:
         if bond.a in remap and bond.b in remap:
             sub.bonds.append(Bond(a=remap[bond.a], b=remap[bond.b], order=bond.order))
-    if sub.atoms:
-        for atom in sub.atoms:
-            if atom.from_bracket or atom.element == "*":
-                atom.implicit_h = 0
-                continue
-            _, fill = _sigma_and_fill(sub, atom.index)
-            atom.implicit_h = _default_implicit_h(atom, fill) or 0
+    for atom, (n_arom, others) in zip(sub.atoms, _bond_sums(sub)):
+        if not (atom.from_bracket or atom.element == "*"):
+            atom.implicit_h = _hydrogen_fill(atom, n_arom, others)[1] or 0
     return sub
 
 
@@ -662,15 +607,16 @@ def _ranks_from_keys(keys: dict[int, object]) -> dict[int, int]:
     return {i: pos[k] for i, k in keys.items()}
 
 
-def _atom_token(mol: Molecule, idx: int) -> str:
-    """Emission token for one atom, bare when re-parsing reproduces it."""
+def _atom_token(mol: Molecule, idx: int, bond_sums: list[int]) -> str:
+    """Emission token for one atom, bare when re-parsing reproduces it;
+    ``bond_sums`` is the atom's entry of ``_bond_sums(mol)``."""
     atom = mol.atoms[idx]
     symbol = atom.element.lower() if atom.aromatic else atom.element
     if atom.element == "*":
         return "*"
     bare_ok = (atom.element in ORGANIC_SUBSET and atom.formal_charge == 0
                and (not atom.aromatic or atom.element in AROMATIC_OK))
-    if bare_ok and _default_implicit_h(atom, _sigma_and_fill(mol, idx)[1]) == atom.total_h:
+    if bare_ok and _hydrogen_fill(atom, *bond_sums)[1] == atom.total_h:
         return symbol
     h = atom.total_h
     hpart = "" if h == 0 else ("H" if h == 1 else f"H{h}")
@@ -835,7 +781,8 @@ def _best_component_emission(mol: Molecule, comp: list[int],
     """Lexicographically minimal emission of one connected component."""
     comp_set = set(comp)
     ranks = _refined_ranks(mol, comp)
-    tokens = {i: _atom_token(mol, i) for i in comp}
+    sums = _bond_sums(mol)
+    tokens = {i: _atom_token(mol, i, sums[i]) for i in comp}
     min_token = min(tokens[i] for i in comp)
     starts = [i for _, i in sorted((ranks[i], i) for i in comp
                                    if tokens[i] == min_token)]

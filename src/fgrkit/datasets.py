@@ -48,7 +48,8 @@ def read_smiles_table(path) -> SmilesTable:
     of one SMILES per line. Cells are stripped and blank rows skipped; a row
     that is not UTF-8 is dropped as ``bad_encoding``, and a CSV row wider
     than the header or too short to hold the SMILES cell as ``bad_width``.
-    A CSV that the csv module cannot split raises DatasetError."""
+    A CSV header that is not UTF-8, or a CSV that the csv module cannot
+    split, raises DatasetError."""
     rows, dropped = [], {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -57,6 +58,10 @@ def read_smiles_table(path) -> SmilesTable:
             header = None if header is None else [h.strip() for h in header]
             lowered = [h.lower() for h in header or []]
             if "smiles" in lowered:
+                try:
+                    ",".join(header).encode()
+                except UnicodeEncodeError:
+                    raise DatasetError("the header is not valid UTF-8") from None
                 col, width = lowered.index("smiles"), len(header)
                 columns = header[:col] + header[col + 1:]
             else:

@@ -109,10 +109,6 @@ def load_dataset(path, task_kind: str) -> Dataset:
     table = read_smiles_table(path)
     if table.header is None:
         raise NoUsableRows("empty file")
-    try:
-        ",".join(table.header).encode()
-    except UnicodeEncodeError as exc:
-        raise DatasetError("the header is not valid UTF-8") from exc
     if table.columns is None:
         raise MissingSmilesColumn(f"no `smiles` column in {table.header}")
     if not table.columns:

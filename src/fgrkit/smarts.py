@@ -7,7 +7,7 @@ aromatic/aliphatic constraint), atomic number ``#n``, wildcard ``*``,
 size ``r<n>``, combined with ``!``, ``&`` (implicit), ``,`` and ``;``.
 Bond predicates: ``- = # : ~ @``. Recursive SMARTS, stereo, isotopes,
 bond logic and component grouping are rejected loudly with
-UnsupportedPrimitive, never silently ignored.
+UnsupportedPrimitive, never silently ignored. Digits are ASCII.
 
 Ring-membership counts (``R<n>``) and ring sizes (``r<n>``) are read off
 the DFS back-edge cycle basis from ``perceive_rings``, whose cycles depend
@@ -123,7 +123,7 @@ class _Cursor:
 
     def number(self) -> int | None:
         num = ""
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             num += self.take()
         return int(num) if num else None
 
@@ -140,7 +140,7 @@ def _parse_primary(cur: _Cursor, text: str) -> tuple:
         raise UnsupportedPrimitive("recursive", off, text)
     if ch == "@":
         raise UnsupportedPrimitive("stereo", off, text)
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         raise UnsupportedPrimitive("isotope", off, text)
     if ch == "*":
         cur.take()
@@ -320,9 +320,9 @@ def parse_smarts(text: str) -> QueryPattern:
                 raise MalformedQuery("unmatched ')'", i, text)
             anchor = branch_stack.pop()
             i += 1
-        elif ch == "%" or ch.isdigit():
+        elif ch == "%" or "0" <= ch <= "9":
             token = text[i:i + 3] if ch == "%" else ch
-            if ch == "%" and (len(token) < 3 or not token[1:].isdigit()):
+            if ch == "%" and (len(token) < 3 or not (token.isascii() and token[1:].isdigit())):
                 raise MalformedQuery("malformed %nn ring closure", i, text)
             if anchor is None:
                 raise MalformedQuery("ring closure before any atom", i, text)

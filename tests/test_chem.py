@@ -4,6 +4,7 @@ import pytest
 
 from fgrkit.chem import (
     AROMATIC,
+    DOUBLE,
     SINGLE,
     Atom,
     Bond,
@@ -101,8 +102,13 @@ class TestParser:
     def test_stereo_recorded_and_ignored(self):
         m = parse_smiles("C/C=C/C")
         assert m.num_bonds == 3
-        assert len(m.stereo_markers) == 2
-        assert {mk for _, mk in m.stereo_markers} == {"/"}
+        assert [b.order for b in m.bonds] == [SINGLE, DOUBLE, SINGLE]
+        assert [tok for tok in m.tokens if tok in "/\\"] == ["/", "/"]
+
+    def test_parse_builds_no_adjacency(self):
+        m = parse_smiles("CC(=O)Nc1ccc(O)cc1")
+        assert m._adjacency is None
+        assert m.tokens == tokenize_smiles("CC(=O)Nc1ccc(O)cc1")
 
     def test_dot_components(self):
         m = parse_smiles("CC.O")
@@ -127,16 +133,20 @@ class TestParser:
             parse_smiles("CC)C")
         with pytest.raises(UnknownAtomSymbol):
             parse_smiles("C[Xx]C")
+        # digits are ASCII only: other Unicode digits are unknown symbols
+        for text, offset in [("[CH²]", 0), ("[C+²]", 0), ("C²CC²", 1), ("C١CC١", 1)]:
+            with pytest.raises(UnknownAtomSymbol) as exc:
+                parse_smiles(text)
+            assert exc.value.offset == offset
 
     def test_valence_overflow(self):
-        with pytest.raises(ValenceOverflow):
-            parse_smiles("C(C)(C)(C)(C)C")
-        with pytest.raises(ValenceOverflow):
-            parse_smiles("O=C(=O)=O")
-        # explicit aromatic bonds on an uppercase atom can push the H-fill
-        # accounting past the valence table; that must be a named error
-        with pytest.raises(ValenceOverflow):
-            parse_smiles("C:O:C")
+        # explicit aromatic bonds on an uppercase atom (C:O:C) can push the
+        # H-fill accounting past the valence table; that must be a named error
+        for text, offset in [("C(C)(C)(C)(C)C", 0), ("O=C(=O)=O", 2), ("C:O:C", 2),
+                             ("C[CH4]", 1)]:
+            with pytest.raises(ValenceOverflow) as exc:
+                parse_smiles(text)
+            assert exc.value.offset == offset
 
     def test_empty_and_oversize_rejected(self):
         with pytest.raises(ParseError):

@@ -124,11 +124,12 @@ class TestMineVocabBadInput:
                    "--mfg", workdir / "toy.mfg", "--out", workdir / "bad_byte.bin") == 0
         out, err = capsys.readouterr()
         assert (json.loads(out.strip().splitlines()[-1])["skipped"], err) == (1, "")
-        data.write_bytes(b"C\xf2\n")
-        assert run("encode", "--data", data, "--mfg", workdir / "toy.mfg",
-                   "--out", workdir / "bad_byte.bin") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("fgrkit: error: ") and "Traceback" not in err
+        for text in [b"C\xf2\n", b"smiles,t\xf2\nCCO,1\n"]:
+            data.write_bytes(text)
+            assert run("encode", "--data", data, "--mfg", workdir / "toy.mfg",
+                       "--out", workdir / "bad_byte.bin") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("fgrkit: error: ") and "Traceback" not in err
 
     def test_train_with_undecodable_config(self, workdir, capsys):
         config = workdir / "bad_byte.json"

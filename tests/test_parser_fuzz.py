@@ -4,13 +4,14 @@ exception."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgrkit.chem import parse_smiles, tokenize_smiles
+from fgrkit.chem import encoder_input, parse_smiles, tokenize_smiles
 from fgrkit.errors import FgrError
 from fgrkit.smarts import match_exists, parse_smarts
 
 # SMILES and SMARTS symbols, digits, bond and logic characters, plus a few
-# letters that are neither (K, Z, e, h) to reach the unknown-symbol paths
-ALPHABET = "CNOSPFIBclnospbHh[]()=#-+:~@!&,;%0123456789*./\\$aADXRrKZe"
+# letters that are neither (K, Z, e, h) to reach the unknown-symbol paths,
+# and two non-ASCII digits (superscript two, Arabic-Indic one)
+ALPHABET = "CNOSPFIBclnospbHh[]()=#-+:~@!&,;%0123456789*./\\$aADXRrKZe²١"
 TEXT = st.text(alphabet=ALPHABET, max_size=24)
 MOLECULES = [parse_smiles(s) for s in ("CCO", "c1ccccc1O", "[H]OC([H])[H]",
                                        "C[N+](C)(C)C", "*C1CC1")]
@@ -35,7 +36,8 @@ def test_parse_smarts(text):
 @given(TEXT)
 @settings(max_examples=500, deadline=None)
 def test_parse_smiles(text):
-    _returns_or_raises_fgr_error(parse_smiles, text)
+    if _returns_or_raises_fgr_error(parse_smiles, text) is not None:
+        assert encoder_input(text)[1] == tokenize_smiles(text)
 
 
 @given(TEXT)

@@ -58,6 +58,10 @@ class TestParseSmarts:
             parse_smarts("C1CC")
         with pytest.raises(MalformedQuery):
             parse_smarts("")
+        # digits are ASCII only
+        for text in ["[#²]", "[D²]", "[R²]", "[X²]", "[+²]", "C²CC²", "C١CC١"]:
+            with pytest.raises(MalformedQuery):
+                parse_smarts(text)
 
     @pytest.mark.parametrize("text, offset", [
         ("1C", 0), ("C1CC", 1), ("C%10CC", 1), ("C11", 2), ("C=1CC-1", 6)])

@@ -48,10 +48,10 @@ class TestFGLoad:
 
     def test_skip_invalid_reports_line_numbers(self, tmp_path):
         p = tmp_path / "fg.tsv"
-        p.write_text("ok\t[OX2H]\nbad\t[$(C=O)]\nalso_ok\tC=O\n")
+        p.write_text("ok\t[OX2H]\nbad\t[$(C=O)]\nbad_digit\t[#²]\nalso_ok\tC=O\n")
         v = load_fg_vocab(p, skip_invalid=True)
         assert v.size == 2
-        assert [lineno for lineno, _ in v.rejected] == [2]
+        assert [lineno for lineno, _ in v.rejected] == [2, 3]
 
     def test_non_utf8_line_is_a_malformed_line(self, tmp_path):
         p = tmp_path / "fg.tsv"
