@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from itertools import count, permutations, product
+from math import factorial, prod
 
 from .elements import (
     AROMATIC_OK,
@@ -632,9 +634,11 @@ def _atom_token(mol: Molecule, idx: int, bond_sums: list[int]) -> str:
     return f"[{symbol}{hpart}{qpart}]"
 
 
-def _bond_char(mol: Molecule, bond: Bond) -> str:
-    """Emitted bond symbol; empty for defaults."""
-    a_arom = mol.atoms[bond.a].aromatic and mol.atoms[bond.b].aromatic
+def _bond_char(mol: Molecule, u: int, v: int) -> str:
+    """Emitted symbol of the bond between atoms u and v; empty for defaults."""
+    bond = mol.bond_between(u, v)
+    assert bond is not None
+    a_arom = mol.atoms[u].aromatic and mol.atoms[v].aromatic
     if bond.order == AROMATIC:
         return "" if a_arom else ":"
     if bond.order == SINGLE:
@@ -642,137 +646,105 @@ def _bond_char(mol: Molecule, bond: Bond) -> str:
     return _CHAR_FROM_BOND[bond.order]
 
 
-def _tie_orderings(cands: list[int], ranks: dict[int, int]):
+def _tie_orderings(cands: list[int], ranks: dict[int, int],
+                   limit: int) -> list[list[int]]:
     """All orderings of candidate atoms that respect ascending refined rank,
-    branching over permutations within equal-rank groups only."""
-    if not cands:
-        yield []
-        return
+    permuting within equal-rank groups only. Each ordering of non-empty
+    ``cands`` costs a visit, so more than ``limit`` (the visits left in the
+    budget) raise CanonicalizationBudgetExceeded before any is built."""
     groups: list[list[int]] = []
     for v in sorted(cands, key=lambda v: (ranks[v], v)):
         if groups and ranks[groups[-1][0]] == ranks[v]:
             groups[-1].append(v)
         else:
             groups.append([v])
-    from itertools import permutations, product
-    for combo in product(*(permutations(g) for g in groups)):
-        yield [v for g in combo for v in g]
+    if groups and prod(factorial(len(g)) for g in groups) > limit:
+        raise CanonicalizationBudgetExceeded("walk budget exhausted")
+    return [[v for g in combo for v in g]
+            for combo in product(*(permutations(g) for g in groups))]
 
 
 def _component_walks(mol: Molecule, comp_set: set[int], ranks: dict[int, int],
                      start: int, budget: list[int]):
     """Enumerate DFS walks of one component from a fixed start atom.
 
-    Yields (visit_order, tree_children, ring_edges) per walk. Walk state is
-    mutated in place and undone by backtracking, so consumers must copy.
-    The budget counts atom visits across the whole enumeration; it depends
-    only on the graph, never on results so far, which keeps exhaustion (and
-    therefore the hash fallback) isomorphism-invariant.
+    Yields (visit_order, tree_children, ring_edges) per walk. A partial walk
+    is its (atom, tree parent) visits, ring edges, visited set and a stack
+    of frames (atom, child ordering, next position). A visit records the
+    ring edges to visited neighbours other than the parent, then continues
+    with the first ordering of the unvisited neighbours and queues a copy of
+    the walk for each other ordering. The budget counts atom visits across
+    the whole enumeration, once per distinct prefix; it depends only on the
+    graph, never on results so far, which keeps exhaustion (and therefore
+    the hash fallback) isomorphism-invariant.
     """
     adj = mol.adjacency()
-    visit_order: list[int] = []
-    visit_pos: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    ring_edges: list[tuple[int, int]] = []
-
-    def explore_atom(v: int, parent: int, cont):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CanonicalizationBudgetExceeded(
-                "walk budget exhausted")
-        visit_pos[v] = len(visit_order)
-        visit_order.append(v)
-        children[v] = []
-        added = []
-        for w, _ in adj[v]:
-            if w in comp_set and w in visit_pos and w != parent:
-                edge = (w, v)
-                ring_edges.append(edge)
-                added.append(edge)
-        cands = [w for w, _ in adj[v] if w in comp_set and w not in visit_pos]
-        for ordering in _tie_orderings(cands, ranks):
-            yield from _process(v, ordering, 0, cont)
-        for edge in added:
-            ring_edges.remove(edge)
-        del children[v]
-        visit_order.pop()
-        del visit_pos[v]
-
-    def _process(u: int, ordering: list[int], k: int, cont):
-        if k == len(ordering):
-            yield from cont()
-            return
-        v = ordering[k]
-        if v in visit_pos:
-            # already reached through an earlier sibling subtree; the edge
-            # was recorded as a ring edge when v was visited
-            yield from _process(u, ordering, k + 1, cont)
-            return
-        children[u].append(v)
-        yield from explore_atom(v, u, lambda: _process(u, ordering, k + 1, cont))
-        children[u].pop()
-
-    def finish():
-        if len(visit_order) == len(comp_set):
-            yield (list(visit_order),
-                   {k: list(v) for k, v in children.items()},
-                   list(ring_edges))
-
-    yield from explore_atom(start, -1, finish)
+    work = [([], [], set(), [(-1, [start], 0)])]
+    while work:
+        visits, ring_edges, seen, frames = work.pop()
+        while frames:
+            u, ordering, k = frames.pop()
+            # skip children already reached through an earlier sibling
+            # subtree; the edge was recorded as a ring edge then
+            while k < len(ordering) and ordering[k] in seen:
+                k += 1
+            if k == len(ordering):
+                continue
+            v = ordering[k]
+            frames.append((u, ordering, k + 1))
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CanonicalizationBudgetExceeded("walk budget exhausted")
+            ring_edges += [(w, v) for w, _ in adj[v] if w in seen and w != u]
+            visits.append((v, u))
+            seen.add(v)
+            cands = [w for w, _ in adj[v] if w in comp_set and w not in seen]
+            first, *others = _tie_orderings(cands, ranks, budget[0])
+            for alt in reversed(others):
+                work.append((list(visits), list(ring_edges), set(seen),
+                             frames + [(v, alt, 0)]))
+            frames.append((v, first, 0))
+        if len(visits) == len(comp_set):
+            children: dict[int, list[int]] = {}
+            for v, u in visits[1:]:
+                children.setdefault(u, []).append(v)
+            yield [v for v, _ in visits], children, ring_edges
 
 
 def _emit(mol: Molecule, visit_order: list[int], tree_children: dict[int, list[int]],
           ring_edges: list[tuple[int, int]], tokens: dict[int, str]) -> str:
-    """Render one completed walk as a SMILES string."""
-    visit_pos = {a: i for i, a in enumerate(visit_order)}
-    # ring digits open at the first-visited endpoint, ordered by partner visit
+    """Render one completed walk as a SMILES string.
+
+    A stack holds atoms still to write and literal pieces (branch
+    parentheses and tree bond symbols) in reverse order of output.
+    """
+    # ring digits open at the first-visited endpoint, ordered by partner
+    # visit: each ring edge is (earlier, later), listed as the later was visited
     opens: dict[int, list[int]] = {}
     for a, b in ring_edges:
-        first, second = (a, b) if visit_pos[a] < visit_pos[b] else (b, a)
-        opens.setdefault(first, []).append(second)
-    for first in opens:
-        opens[first].sort(key=lambda p: visit_pos[p])
-
-    pending_close: dict[int, list[int]] = {}
+        opens.setdefault(a, []).append(b)
+    pending_close: dict[int, list[tuple[int, str]]] = {}
     in_use: set[int] = set()
-
-    def next_digit() -> int:
-        d = 1
-        while d in in_use:
-            d += 1
-        return d
-
-    def digit_str(d: int) -> str:
-        return str(d) if d < 10 else f"%{d:02d}"
-
     out: list[str] = []
-
-    def emit_atom(u: int) -> None:
+    stack: list[int | str] = [visit_order[0]]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+            continue
         out.append(tokens[u])
         for partner in opens.get(u, ()):
-            d = next_digit()
+            d = next(d for d in count(1) if d not in in_use)
             in_use.add(d)
-            bond = mol.bond_between(u, partner)
-            assert bond is not None
-            out.append(_bond_char(mol, bond) + digit_str(d))
-            pending_close.setdefault(partner, []).append(d)
-        for d in pending_close.pop(u, ()):
-            out.append(digit_str(d))
+            label = str(d) if d < 10 else f"%{d:02d}"
+            out.append(_bond_char(mol, u, partner) + label)
+            pending_close.setdefault(partner, []).append((d, label))
+        for d, label in pending_close.pop(u, ()):
+            out.append(label)
             in_use.discard(d)
-        kids = tree_children.get(u, [])
-        for ci, c in enumerate(kids):
-            bond = mol.bond_between(u, c)
-            assert bond is not None
-            piece = _bond_char(mol, bond)
-            if ci < len(kids) - 1:
-                out.append("(" + piece)
-                emit_atom(c)
-                out.append(")")
-            else:
-                out.append(piece)
-                emit_atom(c)
-
-    emit_atom(visit_order[0])
+        for i, c in enumerate(reversed(tree_children.get(u, []))):
+            piece = _bond_char(mol, u, c)
+            stack += [c, piece] if i == 0 else [")", c, "(" + piece]
     return "".join(out)
 
 

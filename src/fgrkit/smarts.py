@@ -122,10 +122,15 @@ class _Cursor:
         return ch
 
     def number(self) -> int | None:
-        num = ""
+        start = self.i
         while "0" <= self.peek() <= "9":
-            num += self.take()
-        return int(num) if num else None
+            self.i += 1
+        if start == self.i:
+            return None
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # more digits than int() converts
+            raise MalformedQuery("number too long", start, self.text) from None
 
 
 def _parse_primary(cur: _Cursor, text: str) -> tuple:
@@ -134,8 +139,12 @@ def _parse_primary(cur: _Cursor, text: str) -> tuple:
     if not ch:
         raise MalformedQuery("empty atom expression", off, text)
     if ch == "!":
-        cur.take()
-        return ("not", _parse_primary(cur, text))
+        # a run of "!" is counted, not nested: odd negates, even cancels
+        while cur.peek() == "!":
+            cur.take()
+        odd = (cur.i - off) % 2
+        operand = _parse_primary(cur, text)
+        return ("not", operand) if odd else operand
     if ch == "$":
         raise UnsupportedPrimitive("recursive", off, text)
     if ch == "@":

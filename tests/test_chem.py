@@ -332,6 +332,55 @@ class TestScaffoldKey:
                 assert same_key == oracle_isomorphic(a, b), (a.source, b.source)
 
 
+class TestCanonicalDepth:
+    """Emission runs on explicit stacks: depth gives a string or a typed
+    budget error, never a RecursionError."""
+
+    PHENYLS_60 = "c1ccc(cc1)" * 59 + "c1ccccc1"
+
+    def test_long_chain_with_unique_start_emits(self):
+        s = canonical_smiles(parse_smiles("Br" + "C" * 1000))
+        assert s == "Br" + "C" * 1000
+        assert canonical_smiles(parse_smiles(s)) == s
+        assert scaffold_key(murcko_scaffold(parse_smiles(s))) == ""
+
+    @pytest.mark.parametrize("smiles", ["C" * 400, "C" * 1000, PHENYLS_60],
+                             ids=["C400", "C1000", "phenyl60"])
+    def test_deep_symmetric_input_exceeds_budget(self, smiles):
+        from fgrkit.errors import CanonicalizationBudgetExceeded
+        mol = parse_smiles(smiles)
+        with pytest.raises(CanonicalizationBudgetExceeded):
+            canonical_smiles(mol)
+        assert isinstance(scaffold_key(mol), str)
+        assert isinstance(scaffold_key(murcko_scaffold(mol)), str)
+
+    def test_many_tied_neighbours_fail_fast(self):
+        # 12 equal methyls on one atom: 12! orderings are never built
+        from fgrkit.errors import CanonicalizationBudgetExceeded
+        mol = parse_smiles("[Xe]" + "(C)" * 11 + "C")
+        with pytest.raises(CanonicalizationBudgetExceeded):
+            canonical_smiles(mol)
+        assert scaffold_key(mol).startswith("invhash:")
+
+    # the smallest walk budget that succeeds, as counted before the
+    # enumeration lost its recursion; it decides which molecules fall back
+    @pytest.mark.parametrize("smiles, threshold", [
+        ("c1ccccc1", 66),
+        ("c1ccc2ccccc2c1", 202),
+        ("C12C3C4C1C5C2C3C45", 2072),
+        ("C1C2CC3CC1CC(C2)C3", 1366),
+        ("CC(C)(C)C", 177),
+        ("C(c1ccccc1)(c1ccccc1)(c1ccccc1)c1ccccc1", 3961),
+        ("OCC.c1ccccc1", 72),
+    ])
+    def test_walk_budget_threshold(self, smiles, threshold):
+        from fgrkit.errors import CanonicalizationBudgetExceeded
+        mol = parse_smiles(smiles)
+        assert canonical_smiles(mol, walk_budget=threshold) == canonical_smiles(mol)
+        with pytest.raises(CanonicalizationBudgetExceeded):
+            canonical_smiles(mol, walk_budget=threshold - 1)
+
+
 class TestCanonicalEmission:
     ROUND_TRIP_CASES = [
         "CCO", "c1ccccc1", "Cc1ccccc1", "C1CC1", "c1ccc2ccccc2c1",

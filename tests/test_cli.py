@@ -149,6 +149,17 @@ class TestEncode:
                        "--mfg", workdir / "toy.mfg", "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deep_and_overlong_smarts_lines(self, workdir, capsys):
+        fg = workdir / "deep.tsv"
+        fg.write_text("deep\t[" + "!" * 1000 + "O]\nlong\t[#" + "9" * 5000 + "]\n")
+        out = workdir / "deep.bin"
+        assert run("encode", "--data", workdir / "toy.csv", "--fg", fg,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fgrkit: error: line 2") and "Traceback" not in err
+        assert run("encode", "--data", workdir / "toy.csv", "--fg", fg,
+                   "--skip-invalid", "--out", out) == 0
+
     def test_plain_lines_skip_unparseable(self, workdir, capsys):
         from fgrkit.datasets import starter_fg_vocab_path
         from fgrkit.encode import load_matrix

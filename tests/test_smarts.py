@@ -85,6 +85,38 @@ class TestParseSmarts:
         assert q.atoms[0].tree[0] == "and"
 
 
+    @pytest.mark.parametrize("deep, plain", [
+        ("[" + "!" * 1000 + "C]", "[C]"),
+        ("[" + "!" * 999 + "C]", "[!C]"),
+        ("[C;" + "!" * 999 + "N]", "[C;!N]"),
+        ("[C;" + "!" * 1000 + "N]", "[C;N]"),
+    ], ids=["even", "odd", "and-odd", "and-even"])
+    def test_negation_runs_parse_as_their_parity(self, deep, plain):
+        q, ref = parse_smarts(deep), parse_smarts(plain)
+        assert q.atoms == ref.atoms
+        for smiles in ["CCO", "c1ccccc1N", "NC(=O)C", "O=[N+]([O-])c1ccncc1"]:
+            mol = parse_smiles(smiles)
+            assert match_exists(q, mol) == match_exists(ref, mol)
+            assert find_embeddings(q, mol) == find_embeddings(ref, mol)
+
+    def test_double_negation_is_the_operand(self):
+        q = parse_smarts("[!!c]")
+        assert q.atoms == parse_smarts("[c]").atoms
+        assert q.atoms[0].aromatic_hint and q.mandatory_numbers == [6]
+
+    @pytest.mark.parametrize("text", ["[#" + "9" * 5000 + "]", "[D" + "1" * 4400 + "]"],
+                             ids=["number", "degree"])
+    def test_overlong_number_is_malformed(self, text, tmp_path):
+        with pytest.raises(MalformedQuery) as exc:
+            parse_smarts(text)
+        assert exc.value.offset == 2
+        p = tmp_path / "fg.tsv"
+        p.write_text(f"ok\t[OX2H]\nlong\t{text}\nalso_ok\tC=O\n")
+        v = load_fg_vocab(p, skip_invalid=True)
+        assert v.names == ["ok", "also_ok"]
+        assert [lineno for lineno, _ in v.rejected] == [2]
+
+
 class TestMatching:
     def test_hydroxyl_matches_ethanol(self):
         q = parse_smarts("[OX2H]")
