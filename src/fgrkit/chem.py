@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from itertools import count, permutations, product
+from itertools import count, groupby, permutations, product
 from math import factorial, prod
 
 from .elements import (
@@ -652,12 +652,8 @@ def _tie_orderings(cands: list[int], ranks: dict[int, int],
     permuting within equal-rank groups only. Each ordering of non-empty
     ``cands`` costs a visit, so more than ``limit`` (the visits left in the
     budget) raise CanonicalizationBudgetExceeded before any is built."""
-    groups: list[list[int]] = []
-    for v in sorted(cands, key=lambda v: (ranks[v], v)):
-        if groups and ranks[groups[-1][0]] == ranks[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
+    ordered = sorted(cands, key=lambda v: (ranks[v], v))
+    groups = [list(g) for _, g in groupby(ordered, key=ranks.__getitem__)]
     if groups and prod(factorial(len(g)) for g in groups) > limit:
         raise CanonicalizationBudgetExceeded("walk budget exhausted")
     return [[v for g in combo for v in g]
@@ -668,22 +664,33 @@ def _component_walks(mol: Molecule, comp_set: set[int], ranks: dict[int, int],
                      start: int, budget: list[int]):
     """Enumerate DFS walks of one component from a fixed start atom.
 
-    Yields (visit_order, tree_children, ring_edges) per walk. A partial walk
-    is its (atom, tree parent) visits, ring edges, visited set and a stack
-    of frames (atom, child ordering, next position). A visit records the
-    ring edges to visited neighbours other than the parent, then continues
-    with the first ordering of the unvisited neighbours and queues a copy of
-    the walk for each other ordering. The budget counts atom visits across
-    the whole enumeration, once per distinct prefix; it depends only on the
-    graph, never on results so far, which keeps exhaustion (and therefore
-    the hash fallback) isomorphism-invariant.
+    Yields (visit_order, tree_children, ring_edges) per walk. Frames (atom,
+    child ordering, next position) form a linked stack of tuples. A visit
+    records its ring edges to visited atoms other than the tree parent and
+    follows the first ordering of its unvisited neighbours; a branch point
+    keeps the walk's lengths, frames and other orderings, and the next walk
+    is this one cut back to the newest branch point, on its next ordering.
+    The budget counts atom visits across the whole enumeration, once per
+    distinct prefix; it depends only on the graph, never on results so far,
+    which keeps exhaustion (and therefore the hash fallback)
+    isomorphism-invariant.
     """
     adj = mol.adjacency()
-    work = [([], [], set(), [(-1, [start], 0)])]
-    while work:
-        visits, ring_edges, seen, frames = work.pop()
+    visits: list[tuple[int, int]] = []  # (atom, tree parent) in visit order
+    ring_edges: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    branches = [(0, 0, None, -1, iter([[start]]))]  # start: only child of no atom
+    while branches:
+        n_visits, n_rings, frames, v, orderings = branches[-1]
+        ordering = next(orderings, None)
+        if ordering is None:
+            branches.pop()
+            continue
+        seen.difference_update(a for a, _ in visits[n_visits:])
+        del visits[n_visits:], ring_edges[n_rings:]
+        frames = ((v, ordering, 0), frames)
         while frames:
-            u, ordering, k = frames.pop()
+            (u, ordering, k), frames = frames
             # skip children already reached through an earlier sibling
             # subtree; the edge was recorded as a ring edge then
             while k < len(ordering) and ordering[k] in seen:
@@ -691,7 +698,7 @@ def _component_walks(mol: Molecule, comp_set: set[int], ranks: dict[int, int],
             if k == len(ordering):
                 continue
             v = ordering[k]
-            frames.append((u, ordering, k + 1))
+            frames = ((u, ordering, k + 1), frames)
             budget[0] -= 1
             if budget[0] < 0:
                 raise CanonicalizationBudgetExceeded("walk budget exhausted")
@@ -700,24 +707,20 @@ def _component_walks(mol: Molecule, comp_set: set[int], ranks: dict[int, int],
             seen.add(v)
             cands = [w for w, _ in adj[v] if w in comp_set and w not in seen]
             first, *others = _tie_orderings(cands, ranks, budget[0])
-            for alt in reversed(others):
-                work.append((list(visits), list(ring_edges), set(seen),
-                             frames + [(v, alt, 0)]))
-            frames.append((v, first, 0))
+            if others:
+                branches.append((len(visits), len(ring_edges), frames, v, iter(others)))
+            frames = ((v, first, 0), frames)
         if len(visits) == len(comp_set):
             children: dict[int, list[int]] = {}
-            for v, u in visits[1:]:
-                children.setdefault(u, []).append(v)
-            yield [v for v, _ in visits], children, ring_edges
+            for a, u in visits[1:]:
+                children.setdefault(u, []).append(a)
+            yield [a for a, _ in visits], children, list(ring_edges)
 
 
 def _emit(mol: Molecule, visit_order: list[int], tree_children: dict[int, list[int]],
           ring_edges: list[tuple[int, int]], tokens: dict[int, str]) -> str:
-    """Render one completed walk as a SMILES string.
-
-    A stack holds atoms still to write and literal pieces (branch
-    parentheses and tree bond symbols) in reverse order of output.
-    """
+    """Render one completed walk as a SMILES string, from one stack of the
+    atoms still to write and literal pieces (parentheses, tree bonds)."""
     # ring digits open at the first-visited endpoint, ordered by partner
     # visit: each ring edge is (earlier, later), listed as the later was visited
     opens: dict[int, list[int]] = {}

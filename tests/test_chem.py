@@ -355,12 +355,18 @@ class TestCanonicalDepth:
         assert isinstance(scaffold_key(murcko_scaffold(mol)), str)
 
     def test_many_tied_neighbours_fail_fast(self):
-        # 12 equal methyls on one atom: 12! orderings are never built
+        # 8 equal methyls on one atom have 8! > 20 000 orderings, each
+        # costing a visit: the same fallback, decided before building them
+        from fgrkit.chem import _tie_orderings
         from fgrkit.errors import CanonicalizationBudgetExceeded
-        mol = parse_smiles("[Xe]" + "(C)" * 11 + "C")
+        mol = parse_smiles("[Xe]" + "(C)" * 7 + "C")
         with pytest.raises(CanonicalizationBudgetExceeded):
             canonical_smiles(mol)
         assert scaffold_key(mol).startswith("invhash:")
+        tied = list(range(12))
+        with pytest.raises(CanonicalizationBudgetExceeded):
+            _tie_orderings(tied, dict.fromkeys(tied, 0), 20000)
+        assert len(_tie_orderings(tied[:7], dict.fromkeys(tied, 0), 5040)) == 5040
 
     # the smallest walk budget that succeeds, as counted before the
     # enumeration lost its recursion; it decides which molecules fall back
