@@ -20,6 +20,7 @@ from fgrkit.datasets import load_bundled_corpus
 from fgrkit.elements import atomic_number
 from fgrkit.encode import compute_descriptors
 from fgrkit.errors import (
+    CanonicalizationBudgetExceeded,
     ParseError,
     UnbalancedParenthesis,
     UnbalancedRingClosure,
@@ -347,7 +348,6 @@ class TestCanonicalDepth:
     @pytest.mark.parametrize("smiles", ["C" * 400, "C" * 1000, PHENYLS_60],
                              ids=["C400", "C1000", "phenyl60"])
     def test_deep_symmetric_input_exceeds_budget(self, smiles):
-        from fgrkit.errors import CanonicalizationBudgetExceeded
         mol = parse_smiles(smiles)
         with pytest.raises(CanonicalizationBudgetExceeded):
             canonical_smiles(mol)
@@ -358,7 +358,6 @@ class TestCanonicalDepth:
         # 8 equal methyls on one atom have 8! > 20 000 orderings, each
         # costing a visit: the same fallback, decided before building them
         from fgrkit.chem import _tie_orderings
-        from fgrkit.errors import CanonicalizationBudgetExceeded
         mol = parse_smiles("[Xe]" + "(C)" * 7 + "C")
         with pytest.raises(CanonicalizationBudgetExceeded):
             canonical_smiles(mol)
@@ -368,8 +367,8 @@ class TestCanonicalDepth:
             _tie_orderings(tied, dict.fromkeys(tied, 0), 20000)
         assert len(_tie_orderings(tied[:7], dict.fromkeys(tied, 0), 5040)) == 5040
 
-    # the smallest walk budget that succeeds, as counted before the
-    # enumeration lost its recursion; it decides which molecules fall back
+    # the smallest walk budget that succeeds; it decides which molecules
+    # fall back, so pruning the enumeration must not move it
     @pytest.mark.parametrize("smiles, threshold", [
         ("c1ccccc1", 66),
         ("c1ccc2ccccc2c1", 202),
@@ -380,7 +379,6 @@ class TestCanonicalDepth:
         ("OCC.c1ccccc1", 72),
     ])
     def test_walk_budget_threshold(self, smiles, threshold):
-        from fgrkit.errors import CanonicalizationBudgetExceeded
         mol = parse_smiles(smiles)
         assert canonical_smiles(mol, walk_budget=threshold) == canonical_smiles(mol)
         with pytest.raises(CanonicalizationBudgetExceeded):
