@@ -790,14 +790,14 @@ def canonical_smiles(mol: Molecule, walk_budget: int = _WALK_BUDGET) -> str:
 def _invariant_hash_key(mol: Molecule) -> str:
     """Isomorphism-invariant fallback key for over-budget molecules."""
     parts = []
+    adj = mol.adjacency()
     for comp in sorted(mol.components(), key=len):
-        ranks = _refined_ranks(mol, comp)
-        adj = mol.adjacency()
+        ranks = _refined_ranks(mol, comp)  # keyed by the component's atoms
         rows = sorted(
             (mol.atoms[i].element, mol.atoms[i].aromatic, mol.atoms[i].formal_charge,
              mol.atoms[i].total_h, ranks[i],
              tuple(sorted((mol.bonds[bi].order, ranks[v]) for v, bi in adj[i]
-                          if v in set(comp))))
+                          if v in ranks)))
             for i in comp)
         parts.append(repr(rows))
     digest = hashlib.sha256("|".join(sorted(parts)).encode()).hexdigest()

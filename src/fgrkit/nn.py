@@ -444,7 +444,7 @@ def load_checkpoint(path, expected_fingerprints: dict | None = None
             specs = [(s["name"], tuple(s["shape"])) for s in header["params"]]
             stored = dict(header["fingerprints"])
             problem = _header_problem(header, hyper)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
         if problem:
             raise CheckpointError(f"malformed checkpoint header: {problem}")

@@ -7,7 +7,12 @@ aromatic/aliphatic constraint), atomic number ``#n``, wildcard ``*``,
 size ``r<n>``, combined with ``!``, ``&`` (implicit), ``,`` and ``;``.
 Bond predicates: ``- = # : ~ @``. Recursive SMARTS, stereo, isotopes,
 bond logic and component grouping are rejected loudly with
-UnsupportedPrimitive, never silently ignored. Digits are ASCII.
+UnsupportedPrimitive, never silently ignored. Digits are ASCII. Inside
+brackets the one-letter primitives ``D H X R A a`` are read before any
+two-letter element symbol: ``[Rb]`` is a ring atom and aromatic boron,
+``[Rn]`` a ring atom and aromatic nitrogen, ``[Hg]`` and ``[Al]`` raise
+UnsupportedPrimitive (``aromatic-g``, ``aromatic-l``); ``[Na]`` and ``[Se]``
+are elements.
 
 Ring-membership counts (``R<n>``) and ring sizes (``r<n>``) are read off
 the DFS back-edge cycle basis from ``perceive_rings``, whose cycles depend
@@ -32,6 +37,7 @@ embeddings in lexicographic order.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,8 +52,7 @@ from .errors import MalformedQuery, UnsupportedPrimitive
 # ("ring_size_any",), ("ring_size", n), ("not", node), ("and", [nodes]),
 # ("or", [nodes])
 
-_TWO_LETTER = sorted((s for s in ATOMIC_NUMBERS if len(s) == 2),
-                     key=len, reverse=True)
+_TWO_LETTER = {s for s in ATOMIC_NUMBERS if len(s) == 2}
 
 BOND_SINGLE = "single"
 BOND_DOUBLE = "double"
@@ -133,6 +138,12 @@ class _Cursor:
             raise MalformedQuery("number too long", start, self.text) from None
 
 
+# one-letter primitives with an optional count: kind, with 1 when none is written
+_COUNTED = {"D": "degree", "H": "totalh", "X": "connectivity"}
+# ring primitives: (kind without a count, kind with one)
+_RING = {"R": ("ring_any", "ring_count"), "r": ("ring_size_any", "ring_size")}
+
+
 def _parse_primary(cur: _Cursor, text: str) -> tuple:
     ch = cur.peek()
     off = cur.i
@@ -160,36 +171,18 @@ def _parse_primary(cur: _Cursor, text: str) -> tuple:
         if z is None:
             raise MalformedQuery("'#' without atomic number", off, text)
         return ("number", z)
-    if ch == "a":
+    if ch in "aA":
         cur.take()
-        return ("aromatic", True)
-    if ch == "A":
-        cur.take()
-        return ("aromatic", False)
-    if ch == "D":
+        return ("aromatic", ch == "a")
+    if ch in _COUNTED:
         cur.take()
         n = cur.number()
-        return ("degree", 1 if n is None else n)
-    if ch == "H":
+        return (_COUNTED[ch], 1 if n is None else n)
+    if ch in _RING:
         cur.take()
         n = cur.number()
-        return ("totalh", 1 if n is None else n)
-    if ch == "X":
-        cur.take()
-        n = cur.number()
-        return ("connectivity", 1 if n is None else n)
-    if ch == "R":
-        cur.take()
-        n = cur.number()
-        if n is None:
-            return ("ring_any",)
-        return ("ring_count", n)
-    if ch == "r":
-        cur.take()
-        n = cur.number()
-        if n is None:
-            return ("ring_size_any",)
-        return ("ring_size", n)
+        bare, counted = _RING[ch]
+        return (bare,) if n is None else (counted, n)
     if ch in "+-":
         sign = 1 if ch == "+" else -1
         cur.take()
@@ -221,15 +214,10 @@ def _parse_primary(cur: _Cursor, text: str) -> tuple:
 
 def _parse_amp(cur: _Cursor, text: str) -> tuple:
     terms = [_parse_primary(cur, text)]
-    while True:
-        ch = cur.peek()
-        if ch == "&":
+    while cur.peek() and cur.peek() not in ",;":
+        if cur.peek() == "&":
             cur.take()
-            terms.append(_parse_primary(cur, text))
-        elif ch and ch not in ",;":
-            terms.append(_parse_primary(cur, text))
-        else:
-            break
+        terms.append(_parse_primary(cur, text))
     return terms[0] if len(terms) == 1 else ("and", terms)
 
 
@@ -265,6 +253,34 @@ def _implies_aromatic(node: tuple) -> bool:
     return False
 
 
+# One named group per token kind, tried in order, as in ``chem._TOKEN``.
+# ``bad`` takes a ``[`` without its ``]``, a ``%`` without two digits and the
+# characters in _UNSUPPORTED. Digits are ASCII only.
+_TOKEN = re.compile(
+    r"(?P<bracket>\[(?P<expr>[^\]]*)\])|(?P<ring>%[0-9][0-9]|[0-9])|(?P<bond>[-=#:~@])"
+    r"|(?P<open>\()|(?P<close>\))|(?P<atom>Cl|Br|[^\[%$/\\.!])|(?P<bad>.)", re.DOTALL)
+
+_UNSUPPORTED = {"$": "recursive", "/": "stereo", "\\": "stereo",
+                ".": "component-grouping", "!": "bond-negation"}
+
+
+def _bare_atom(token: str, offset: int, text: str) -> tuple:
+    """Predicate tree of an atom written outside brackets."""
+    if token in ("Cl", "Br"):
+        return ("element", token, False)
+    if token == "*":
+        return ("wildcard",)
+    if not token.isalpha():
+        raise MalformedQuery(f"unexpected character {token!r}", offset, text)
+    if token.islower():
+        if token.upper() not in AROMATIC_OK:
+            raise UnsupportedPrimitive(f"aromatic-{token}", offset, text)
+        return ("element", token.upper(), True)
+    if token not in "BCNOPSFI":
+        raise MalformedQuery(f"unexpected symbol {token!r}", offset, text)
+    return ("element", token, False)
+
+
 def parse_smarts(text: str) -> QueryPattern:
     """Parse a SMARTS-subset query into a connected QueryPattern."""
     if not text:
@@ -276,11 +292,6 @@ def parse_smarts(text: str) -> QueryPattern:
     branch_stack: list[int] = []
     open_rings: dict[str, tuple[int, str | None, int]] = {}
 
-    def add_atom(tree: tuple) -> int:
-        idx = len(pattern.atoms)
-        pattern.atoms.append(AtomQuery(tree=tree, aromatic_hint=_implies_aromatic(tree)))
-        return idx
-
     def add_bond(i: int, j: int, pred: str | None, offset: int) -> None:
         if i == j:
             raise MalformedQuery("ring bond to same query atom", offset, text)
@@ -289,96 +300,55 @@ def parse_smarts(text: str) -> QueryPattern:
             pred = BOND_SINGLE_OR_AROMATIC if both else BOND_SINGLE
         pattern.bonds.append((i, j, pred))
 
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
-                raise MalformedQuery("unterminated bracket", i, text)
-            tree = _parse_atom_expr(text, i + 1, j)
-            idx = add_atom(tree)
+    # tokens are handled as they are found, so the leftmost fault raises
+    for m in _TOKEN.finditer(text):
+        kind, token, off = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            if token == "[":
+                raise MalformedQuery("unterminated bracket", off, text)
+            if token == "%":
+                raise MalformedQuery("malformed %nn ring closure", off, text)
+            raise UnsupportedPrimitive(_UNSUPPORTED[token], off, text)
+        if kind == "bracket" or kind == "atom":
+            tree = (_parse_atom_expr(text, *m.span("expr")) if kind == "bracket"
+                    else _bare_atom(token, off, text))
+            idx = len(pattern.atoms)
+            pattern.atoms.append(AtomQuery(tree=tree, aromatic_hint=_implies_aromatic(tree)))
             if anchor is not None:
-                add_bond(anchor, idx, pending, i)
+                add_bond(anchor, idx, pending, off)
             elif pending is not None:
                 raise MalformedQuery("bond with no preceding atom", pending_off, text)
             pending = None
             anchor = idx
-            i = j + 1
-        elif ch == "$":
-            raise UnsupportedPrimitive("recursive", i, text)
-        elif ch in "/\\":
-            raise UnsupportedPrimitive("stereo", i, text)
-        elif ch == ".":
-            raise UnsupportedPrimitive("component-grouping", i, text)
-        elif ch in _BOND_PRED_FROM_CHAR:
+        elif kind == "bond":
             if pending is not None:
-                raise UnsupportedPrimitive("bond-expression", i, text)
-            pending = _BOND_PRED_FROM_CHAR[ch]
-            pending_off = i
-            i += 1
-        elif ch == "!":
-            raise UnsupportedPrimitive("bond-negation", i, text)
-        elif ch == "(":
+                raise UnsupportedPrimitive("bond-expression", off, text)
+            pending, pending_off = _BOND_PRED_FROM_CHAR[token], off
+        elif kind == "open":
             if anchor is None:
-                raise MalformedQuery("branch before any atom", i, text)
+                raise MalformedQuery("branch before any atom", off, text)
             branch_stack.append(anchor)
-            i += 1
-        elif ch == ")":
+        elif kind == "close":
             if not branch_stack:
-                raise MalformedQuery("unmatched ')'", i, text)
+                raise MalformedQuery("unmatched ')'", off, text)
             anchor = branch_stack.pop()
-            i += 1
-        elif ch == "%" or "0" <= ch <= "9":
-            token = text[i:i + 3] if ch == "%" else ch
-            if ch == "%" and (len(token) < 3 or not (token.isascii() and token[1:].isdigit())):
-                raise MalformedQuery("malformed %nn ring closure", i, text)
+        else:  # ring
             if anchor is None:
-                raise MalformedQuery("ring closure before any atom", i, text)
+                raise MalformedQuery("ring closure before any atom", off, text)
             if token in open_rings:
                 partner, opened, _ = open_rings.pop(token)
                 if pending is not None and opened is not None and pending != opened:
-                    raise MalformedQuery("conflicting ring-closure bonds", i, text)
-                add_bond(partner, anchor, pending or opened, i)
+                    raise MalformedQuery("conflicting ring-closure bonds", off, text)
+                add_bond(partner, anchor, pending or opened, off)
             else:
-                open_rings[token] = (anchor, pending, i)
+                open_rings[token] = (anchor, pending, off)
             pending = None
-            i += len(token)
-        else:
-            # bare atom symbol (organic subset incl. two-letter and aromatic)
-            sym2 = text[i:i + 2]
-            if sym2 in ("Cl", "Br"):
-                tree: tuple = ("element", sym2, False)
-                i += 2
-            elif ch == "*":
-                tree = ("wildcard",)
-                i += 1
-            elif ch.isalpha():
-                if ch.islower():
-                    sym = ch.upper()
-                    if sym not in AROMATIC_OK:
-                        raise UnsupportedPrimitive(f"aromatic-{ch}", i, text)
-                    tree = ("element", sym, True)
-                elif ch in "BCNOPSFI":
-                    tree = ("element", ch, False)
-                else:
-                    raise MalformedQuery(f"unexpected symbol {ch!r}", i, text)
-                i += 1
-            else:
-                raise MalformedQuery(f"unexpected character {ch!r}", i, text)
-            idx = add_atom(tree)
-            if anchor is not None:
-                add_bond(anchor, idx, pending, i)
-            elif pending is not None:
-                raise MalformedQuery("bond with no preceding atom", pending_off, text)
-            pending = None
-            anchor = idx
 
     if open_rings:
         off = min(off for (_, _, off) in open_rings.values())
         raise MalformedQuery("unclosed ring closure", off, text)
     if branch_stack:
-        raise MalformedQuery("unclosed '('", n, text)
+        raise MalformedQuery("unclosed '('", len(text), text)
     if pending is not None:
         raise MalformedQuery("dangling bond at end", pending_off, text)
     if not pattern.atoms:

@@ -354,6 +354,11 @@ class TestCanonicalDepth:
         assert isinstance(scaffold_key(mol), str)
         assert isinstance(scaffold_key(murcko_scaffold(mol)), str)
 
+    def test_invariant_hash_key_is_pinned(self):
+        # a change to the fallback key's rows would move every stored key
+        assert scaffold_key(parse_smiles("C" * 400)) == (
+            "invhash:e96fb6bb9502415d294740b8a077b91ecaa825a454c8063f3690fbb32252a77c")
+
     def test_many_tied_neighbours_fail_fast(self):
         # 8 equal methyls on one atom have 8! > 20 000 orderings, each
         # costing a visit: the same fallback, decided before building them

@@ -340,6 +340,12 @@ class TestMatrixExport:
         with pytest.raises(VersionMismatch):
             load_matrix(saved)
 
+    def test_overflowing_row_count(self, saved):
+        # JSON reads 1e400 as inf, which int() cannot convert
+        saved.write_bytes(saved.read_bytes().replace(b'"rows": 3', b'"rows": 1e400', 1))
+        with pytest.raises(VersionMismatch):
+            load_matrix(saved)
+
     def test_unparseable_dtype(self, saved):
         saved.write_bytes(saved.read_bytes().replace(b'"float64"', b'",float64"', 1))
         with pytest.raises(VersionMismatch):

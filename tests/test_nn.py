@@ -464,7 +464,9 @@ class TestCheckpointMalformed:
     @pytest.mark.parametrize("key, value", [
         ("l", "4"), ("l", 4.0), ("l", True), ("descriptor_dim", "0"), ("tied", 1),
         ("use_descriptors", "no"), ("alpha_t", "0.25"), ("alpha", float("nan")),
-        ("gamma", float("inf")), ("task", "ranking"), ("task", None)])
+        ("gamma", float("inf")), ("task", "ranking"), ("task", None),
+        *(pytest.param(key, 10 ** 400, id=f"{key}-401-digits")
+          for key in ("alpha", "gamma", "alpha_t", "beta"))])
     def test_wrong_hyper_value(self, parts, key, value):
         path, magic, header, payload = parts
         header["hyper"][key] = value

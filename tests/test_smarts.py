@@ -5,8 +5,8 @@ import pytest
 
 from fgrkit.chem import parse_smiles
 from fgrkit.datasets import load_bundled_corpus, starter_fg_vocab_path
-from fgrkit.errors import MalformedQuery, UnsupportedPrimitive
-from fgrkit.smarts import find_embeddings, match_exists, parse_smarts
+from fgrkit.errors import MalformedQuery, ParseError, UnsupportedPrimitive
+from fgrkit.smarts import AtomQuery, find_embeddings, match_exists, parse_smarts
 from fgrkit.vocab import load_fg_vocab
 
 from helpers import random_molecule_smiles, relabeled_copy
@@ -115,6 +115,62 @@ class TestParseSmarts:
         v = load_fg_vocab(p, skip_invalid=True)
         assert v.names == ["ok", "also_ok"]
         assert [lineno for lineno, _ in v.rejected] == [2]
+
+    @pytest.mark.parametrize("text, cls, offset, message", [
+        # outside brackets
+        ("", MalformedQuery, 0, "empty SMARTS"),
+        ("[C", MalformedQuery, 0, "unterminated bracket"),
+        ("C$", UnsupportedPrimitive, 1, "recursive"),
+        ("C/C", UnsupportedPrimitive, 1, "stereo"),
+        ("C\\C", UnsupportedPrimitive, 1, "stereo"),
+        ("C.C", UnsupportedPrimitive, 1, "component-grouping"),
+        ("C!C", UnsupportedPrimitive, 1, "bond-negation"),
+        ("C=-C", UnsupportedPrimitive, 2, "bond-expression"),
+        ("(C", MalformedQuery, 0, "branch before any atom"),
+        (")$", MalformedQuery, 0, "unmatched ')'"),
+        ("%1", MalformedQuery, 0, "malformed %nn ring closure"),
+        ("C%", MalformedQuery, 1, "malformed %nn ring closure"),
+        ("1C", MalformedQuery, 0, "ring closure before any atom"),
+        ("C=1CC-1", MalformedQuery, 6, "conflicting ring-closure bonds"),
+        ("C11", MalformedQuery, 2, "ring bond to same query atom"),
+        ("-C", MalformedQuery, 0, "bond with no preceding atom"),
+        ("C1CC", MalformedQuery, 1, "unclosed ring closure"),
+        ("C(C", MalformedQuery, 3, "unclosed '('"),
+        ("C-", MalformedQuery, 1, "dangling bond at end"),
+        ("k", UnsupportedPrimitive, 0, "aromatic-k"),
+        ("K", MalformedQuery, 0, "unexpected symbol 'K'"),
+        ("?", MalformedQuery, 0, "unexpected character '?'"),
+        # inside brackets
+        ("[]", MalformedQuery, 1, "empty atom expression"),
+        ("[#]", MalformedQuery, 1, "'#' without atomic number"),
+        ("[#" + "9" * 5000 + "]", MalformedQuery, 2, "number too long"),
+        ("[13C]", UnsupportedPrimitive, 1, "isotope"),
+        ("[C@H]", UnsupportedPrimitive, 2, "stereo"),
+        ("[$(C=O)]", UnsupportedPrimitive, 1, "recursive"),
+        ("[Q]", MalformedQuery, 1, "unknown element 'Q'"),
+        ("[C?]", MalformedQuery, 2, "unexpected character '?' in atom expression"),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else None)
+    def test_raise_sites(self, text, cls, offset, message):
+        with pytest.raises(ParseError) as exc:
+            parse_smarts(text)
+        assert type(exc.value) is cls
+        assert exc.value.offset == offset
+        assert str(exc.value) == (f"unsupported SMARTS primitive: {message}"
+                                  if cls is UnsupportedPrimitive else message) \
+            + f" (offset {offset})"
+
+    def test_one_letter_primitives_precede_two_letter_elements(self):
+        # D H X R A a are read first inside brackets; see the module docstring
+        ring_and = lambda sym: [AtomQuery(("and", [("ring_any",), ("element", sym, True)]), True)]
+        assert parse_smarts("[Rb]").atoms == ring_and("B")
+        assert parse_smarts("[Rn]").atoms == ring_and("N")
+        assert match_exists(parse_smarts("[Rn]"), parse_smiles("c1cc[nH]c1"))
+        for text, kind in [("[Hg]", "aromatic-g"), ("[Al]", "aromatic-l")]:
+            with pytest.raises(UnsupportedPrimitive) as exc:
+                parse_smarts(text)
+            assert (exc.value.primitive, exc.value.offset) == (kind, 2)
+        for sym in ["Na", "Se"]:
+            assert parse_smarts(f"[{sym}]").atoms == [AtomQuery(("element", sym, False))]
 
 
 class TestMatching:
